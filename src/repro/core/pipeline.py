@@ -30,6 +30,15 @@ from .observations import DeviceObservation, build_observations
 __all__ = ["DeviceVerdict", "PipelineResult", "DetectionPipeline"]
 
 
+def _require_cv_classes(stage: str, n_suspicious: int, n_regular: int) -> None:
+    """Stratified CV needs at least two labeled instances of each class."""
+    if min(n_suspicious, n_regular) < 2:
+        raise ValueError(
+            f"{stage} dataset has {n_suspicious} suspicious and {n_regular} "
+            "regular labeled instances; cross-validation needs at least 2 of each"
+        )
+
+
 @dataclass(frozen=True)
 class DeviceVerdict:
     """Per-device pipeline output (Figure 15 plots these for workers)."""
@@ -114,11 +123,12 @@ class DetectionPipeline:
 
         # §7: app classifier on the labeled held-out devices.  Fold count
         # is clamped to the minority-class size so tiny (e.g. evasion-
-        # scenario) cohorts still cross-validate.
+        # scenario) cohorts still cross-validate, down to two per class.
         with obs.trace("pipeline.app_dataset"):
             app_dataset = build_app_dataset(
                 data, observations, self.labeling, features=self.features
             )
+        _require_cv_classes("app", app_dataset.n_suspicious, app_dataset.n_regular)
         app_splits = max(
             2, min(self.n_splits, app_dataset.n_suspicious, app_dataset.n_regular)
         )
@@ -144,6 +154,7 @@ class DetectionPipeline:
             device_dataset = build_device_dataset(
                 data, observations, suspiciousness, features=self.features
             )
+        _require_cv_classes("device", device_dataset.n_worker, device_dataset.n_regular)
         device_splits = max(
             2, min(self.n_splits, device_dataset.n_worker, device_dataset.n_regular)
         )

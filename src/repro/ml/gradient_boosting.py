@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin, check_array, check_random_state, check_X_y
+from .tree import _FlatTreeHolder, _pick_split, _Presorted
 
 __all__ = ["GradientBoostingClassifier"]
 
@@ -39,8 +40,9 @@ class _BoostNode:
         return self.left is None
 
 
-class _BoostTree:
-    """A single regression tree over (gradient, hessian) targets."""
+class _BoostTree(_FlatTreeHolder):
+    """A single regression tree over (gradient, hessian) targets, grown
+    with the presorted split search of :mod:`repro.ml.tree`."""
 
     def __init__(
         self,
@@ -62,17 +64,30 @@ class _BoostTree:
     def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "_BoostTree":
         self.n_features_ = X.shape[1]
         self.feature_gains = np.zeros(self.n_features_, dtype=np.float64)
-        self.root_ = self._grow(X, grad, hess, depth=0)
+        data = _Presorted(X)
+        self.root_ = self._grow(data, grad, hess, data.rows, data.orders, depth=0)
         return self
 
     def _leaf_weight(self, g_sum: float, h_sum: float) -> float:
         return -g_sum / (h_sum + self.reg_lambda)
 
-    def _grow(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int) -> _BoostNode:
-        g_sum = float(grad.sum())
-        h_sum = float(hess.sum())
+    @staticmethod
+    def _node_value(node: _BoostNode) -> float:
+        return node.weight
+
+    def _grow(
+        self,
+        data: _Presorted,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        rows: np.ndarray,
+        orders: np.ndarray,
+        depth: int,
+    ) -> _BoostNode:
+        g_sum = float(grad[rows].sum())
+        h_sum = float(hess[rows].sum())
         node = _BoostNode(weight=self._leaf_weight(g_sum, h_sum), cover=h_sum)
-        if depth >= self.max_depth or X.shape[0] < 2:
+        if depth >= self.max_depth or rows.shape[0] < 2:
             return node
 
         k = max(1, int(self.colsample * self.n_features_))
@@ -81,57 +96,40 @@ class _BoostTree:
         else:
             feature_ids = np.arange(self.n_features_)
 
+        # One (k, n) prefix sum per target covers every sampled feature;
+        # split after position i sends the first i + 1 sorted rows left.
+        sub, values = data.sorted_values(orders, feature_ids)
+        g_left = np.cumsum(grad[sub], axis=1)[:, :-1]
+        h_left = np.cumsum(hess[sub], axis=1)[:, :-1]
+        g_right = g_sum - g_left
+        h_right = h_sum - h_left
         parent_score = g_sum**2 / (h_sum + self.reg_lambda)
-        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
-        for feature in feature_ids:
-            order = np.argsort(X[:, feature], kind="mergesort")
-            values = X[order, feature]
-            g_csum = np.cumsum(grad[order])
-            h_csum = np.cumsum(hess[order])
-
-            positions = np.nonzero(values[1:] != values[:-1])[0]
-            if positions.size == 0:
-                continue
-            g_left = g_csum[positions]
-            h_left = h_csum[positions]
-            g_right = g_sum - g_left
-            h_right = h_sum - h_left
-            valid = (h_left >= self.min_child_weight) & (h_right >= self.min_child_weight)
-            if not valid.any():
-                continue
-            gains = 0.5 * (
-                g_left**2 / (h_left + self.reg_lambda)
-                + g_right**2 / (h_right + self.reg_lambda)
-                - parent_score
-            ) - self.gamma
-            gains[~valid] = -np.inf
-            i = int(np.argmax(gains))
-            if gains[i] > best_gain + 1e-12:
-                best_gain = float(gains[i])
-                best_feature = int(feature)
-                pos = positions[i]
-                best_threshold = float((values[pos] + values[pos + 1]) / 2.0)
-
+        gains = 0.5 * (
+            g_left**2 / (h_left + self.reg_lambda)
+            + g_right**2 / (h_right + self.reg_lambda)
+            - parent_score
+        ) - self.gamma
+        valid = (
+            (values[:, 1:] != values[:, :-1])
+            & (h_left >= self.min_child_weight)
+            & (h_right >= self.min_child_weight)
+        )
+        gains[~valid] = -np.inf
+        best_feature, best_threshold, best_gain = _pick_split(gains, values, feature_ids)
         if best_feature < 0:
             return node
 
-        mask = X[:, best_feature] <= best_threshold
+        left, right = data.partition(rows, orders, best_feature, best_threshold)
         node.feature = best_feature
         node.threshold = best_threshold
         node.gain = best_gain
         self.feature_gains[best_feature] += best_gain
-        node.left = self._grow(X[mask], grad[mask], hess[mask], depth + 1)
-        node.right = self._grow(X[~mask], grad[~mask], hess[~mask], depth + 1)
+        node.left = self._grow(data, grad, hess, *left, depth + 1)
+        node.right = self._grow(data, grad, hess, *right, depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i, row in enumerate(X):
-            node = self.root_
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.weight
-        return out
+        return self._flat_tree().predict(X)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

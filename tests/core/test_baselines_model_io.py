@@ -115,6 +115,17 @@ class TestModelIO:
         )
         np.testing.assert_array_equal(clone.predict(X), model.predict(X))
 
+    def test_booster_json_roundtrip_is_bitwise(self, blobs):
+        X, y = blobs
+        model = GradientBoostingClassifier(
+            n_estimators=15, subsample=0.8, colsample_bytree=0.7, random_state=0
+        ).fit(X, y)
+        expected_margin = model.decision_function(X)
+        expected_proba = model.predict_proba(X)
+        clone = import_boosted_model(json.loads(json.dumps(export_boosted_model(model))))
+        assert clone.decision_function(X).tobytes() == expected_margin.tobytes()
+        assert clone.predict_proba(X).tobytes() == expected_proba.tobytes()
+
     def test_export_is_json_serializable(self, blobs):
         X, y = blobs
         model = GradientBoostingClassifier(n_estimators=5, random_state=0).fit(X, y)

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import OnDeviceDetector
+from repro.core import OnDeviceDetector, pipeline
 from repro.core.app_classifier import AppClassifier
-from repro.core.datasets import build_app_dataset
+from repro.core.datasets import AppDataset, DeviceDataset, build_app_dataset
 
 
 class TestPipelineResult:
@@ -125,3 +125,49 @@ class TestOnDeviceDetector:
             assert report.app_suspiciousness == pytest.approx(
                 report.n_apps_flagged / report.n_apps_scanned
             )
+
+
+class _StubStudy:
+    """Just enough of ``StudyData`` for ``DetectionPipeline.run`` to reach
+    the dataset builders, which the tests replace."""
+
+    def eligible_participants(self, min_days):
+        return []
+
+
+def _synthetic(cls, n_suspicious, n_regular, **extra):
+    y = np.array([1] * n_suspicious + [0] * n_regular)
+    X = np.random.default_rng(0).normal(0, 1, (y.size, 3))
+    return cls(X=X, y=y, feature_names=("a", "b", "c"), **extra)
+
+
+class TestTinyClasses:
+    """Fewer than two labeled instances of a class: a pipeline-level error
+    naming the counts, not the fold splitter's."""
+
+    @pytest.fixture(autouse=True)
+    def no_observations(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "build_observations", lambda data, participants: [])
+
+    @pytest.mark.parametrize("n_suspicious, n_regular", [(12, 1), (1, 12), (0, 5)])
+    def test_app_stage(self, monkeypatch, n_suspicious, n_regular):
+        app = _synthetic(AppDataset, n_suspicious, n_regular, instances=[], labeling=None)
+        monkeypatch.setattr(pipeline, "build_app_dataset", lambda *a, **k: app)
+        with pytest.raises(
+            ValueError,
+            match=f"app dataset has {n_suspicious} suspicious and {n_regular} regular",
+        ):
+            pipeline.DetectionPipeline().run(_StubStudy())
+
+    def test_device_stage(self, monkeypatch):
+        app = _synthetic(AppDataset, 12, 12, instances=[], labeling=None)
+        device = _synthetic(DeviceDataset, 1, 20, observations=[])
+        monkeypatch.setattr(pipeline, "build_app_dataset", lambda *a, **k: app)
+        monkeypatch.setattr(pipeline, "evaluate_app_algorithms", lambda *a, **k: None)
+        monkeypatch.setattr(AppClassifier, "fit", lambda self, dataset: self)
+        monkeypatch.setattr(
+            pipeline.DetectionPipeline, "score_devices", staticmethod(lambda *a, **k: {})
+        )
+        monkeypatch.setattr(pipeline, "build_device_dataset", lambda *a, **k: device)
+        with pytest.raises(ValueError, match="device dataset has 1 suspicious and 20 regular"):
+            pipeline.DetectionPipeline().run(_StubStudy())
