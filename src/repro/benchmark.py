@@ -7,11 +7,12 @@ forest fit, and the KNN all-pairs predict) at ``n_jobs = 1`` versus
 byte-identical outputs (the DESIGN.md §8 contract), and writes the
 measurements to ``BENCH_ml.json``.
 
-The ``data`` suite times the columnar data plane (DESIGN.md §9) against
-the dict backend — ingest, the Mongo-style query workloads, observation
-assembly, and batch vs scalar feature extraction — asserts that both
-paths return the same documents in the same order and byte-identical
-feature matrices, and writes ``BENCH_data.json``.
+The ``data`` suite times the production data plane (DESIGN.md §9)
+against the reference oracle in :mod:`repro.reference` — ingest, the
+Mongo-style query workloads, observation assembly, and batch vs scalar
+feature extraction — asserts that both return the same documents in the
+same order, the same observations and byte-identical feature matrices,
+and writes ``BENCH_data.json``.
 
 The ``sim`` suite times the two-phase simulation engine (DESIGN.md §12)
 at ``n_jobs = 1`` versus ``n_jobs = max`` in device-days/sec, asserts
@@ -355,26 +356,32 @@ def _make_fast_run_docs(
 
 
 def _data_bench_stores(docs: list[dict], repeats: int = 3):
-    """A dict-backed and a columnar ``fast_runs`` collection, both indexed
-    on install_id, plus per-backend insert_many timings.
+    """The oracle's dict ``fast_runs`` collection and the production
+    columnar one, both indexed on install_id, plus their insert_many
+    timings.
 
-    Each backend ingests into a fresh collection ``repeats`` times and
+    Each side ingests into a fresh collection ``repeats`` times and
     keeps the best wall time — the usual guard against scheduler noise
     for a single-shot measurement; the last build is the one handed
     back for the query workloads."""
     from .platform.store import DocumentStore
+    from .reference import Collection
 
+    factories = {
+        "dict": Collection,
+        "columnar": lambda name: DocumentStore().collection(name),
+    }
     collections = {}
     timings = {}
-    for backend in ("dict", "columnar"):
+    for side, make in factories.items():
         best = float("inf")
         for _ in range(repeats):
-            collection = DocumentStore(backend=backend).collection("fast_runs")
+            collection = make("fast_runs")
             collection.create_index("install_id")
             _, elapsed = _timed(collection.insert_many, docs)
             best = min(best, elapsed)
-        collections[backend] = collection
-        timings[backend] = best
+        collections[side] = collection
+        timings[side] = best
     return collections["dict"], collections["columnar"], timings
 
 
@@ -393,7 +400,7 @@ def _query_workloads(docs: list[dict], n_installs: int) -> list[tuple[str, str, 
 
 def _observation_signature(obs) -> tuple:
     """Everything one observation carries, normalized to plain python
-    containers so dict-backend and columnar-backend observations compare
+    containers so reference and production observations compare
     structurally (FrameRow/ColumnRun views materialize to dicts)."""
     return (
         obs.install_id,
@@ -449,16 +456,23 @@ def run_data_bench(
     out: str = "BENCH_data.json",
     baseline: str | None = None,
 ) -> int:
-    """Benchmark the columnar data plane against the dict backend.
+    """Benchmark the production data plane against the reference oracle.
 
-    Returns non-zero if any backend pair disagrees on query results,
-    any batch feature matrix differs from the scalar path by a byte, or
-    (smoke mode, with ``bench-baseline.json`` present) a tracked
-    speedup regresses below its committed floor.
+    Returns non-zero if production and oracle disagree on stored
+    documents, query results or assembled observations, if any batch
+    feature matrix differs from the scalar oracle by a byte, or (smoke
+    mode, with ``bench-baseline.json`` present) a tracked speedup
+    regresses below its committed floor.
     """
-    from .core.app_features import app_feature_matrix, app_feature_vector
-    from .core.device_features import device_feature_matrix, device_feature_vector
+    from .core.app_features import app_feature_matrix
+    from .core.device_features import device_feature_matrix
     from .core.observations import build_observations
+    from .reference import (
+        app_feature_vector,
+        device_feature_vector,
+        reference_observations,
+        replay_server,
+    )
     from .simulation.config import SimulationConfig
     from .simulation.world import run_study
 
@@ -467,18 +481,21 @@ def run_data_bench(
     )
     failures: list[str] = []
     payload: dict = {
+        "command": f"python -m repro --seed {seed} bench data"
+        + (" --smoke" if smoke else ""),
         "machine": _machine_info(),
         "smoke": smoke,
         "seed": seed,
         "queries": [],
     }
 
-    # 1. Ingest: insert_many into an indexed collection, per backend.
+    # 1. Ingest: insert_many into an indexed collection, oracle vs
+    # production.
     docs = _make_fast_run_docs(n_installs, runs_per_install, seed)
     dict_col, columnar_col, ingest = _data_bench_stores(docs)
     ingest_equal = dict_col.find() == columnar_col.find()
     if not ingest_equal:
-        failures.append("ingest: backends disagree on stored documents")
+        failures.append("ingest: production disagrees with the oracle")
     payload["ingest"] = {
         "documents": len(docs),
         "dict_seconds": round(ingest["dict"], 4),
@@ -492,7 +509,7 @@ def run_data_bench(
         f"({payload['ingest']['speedup']}x, equal={ingest_equal})"
     )
 
-    # 2. Query workloads: same operator language on both backends; the
+    # 2. Query workloads: same operator language on both stores; the
     # contract is same documents, same order.
     for label, method, argument in _query_workloads(docs, n_installs):
         def run_workload(collection):
@@ -505,7 +522,7 @@ def run_data_bench(
         columnar_result, t_columnar = _timed(run_workload, columnar_col)
         equal = dict_result == columnar_result
         if not equal:
-            failures.append(f"query[{label}]: backends disagree")
+            failures.append(f"query[{label}]: production disagrees with the oracle")
         payload["queries"].append(
             {
                 "workload": label,
@@ -521,25 +538,20 @@ def run_data_bench(
             f"{t_columnar:7.3f}s ({_speedup(t_dict, t_columnar)}x, equal={equal})"
         )
 
-    # 3. End-to-end: simulate once per backend, then time observation
-    # assembly (per-install queries vs one-pass frame partitions).
+    # 3. End-to-end: simulate once, replay the store into the oracle's
+    # dict collections, then time observation assembly (per-install
+    # indexed queries vs one-pass frame partitions).
     config = SimulationConfig.small() if smoke else SimulationConfig()
-    config = config.scaled(seed=config.seed + seed)
-    data_dict = run_study(config.scaled(store_backend="dict"))
-    data_columnar = run_study(config.scaled(store_backend="columnar"))
-    obs_dict, t_dict = _timed(
-        build_observations, data_dict, data_dict.eligible_participants(min_days=2)
-    )
-    obs_columnar, t_columnar = _timed(
-        build_observations,
-        data_columnar,
-        data_columnar.eligible_participants(min_days=2),
-    )
+    data = run_study(config.scaled(seed=config.seed + seed))
+    participants = data.eligible_participants(min_days=2)
+    replay = replay_server(data.server)
+    obs_dict, t_dict = _timed(reference_observations, data, participants, replay)
+    obs_columnar, t_columnar = _timed(build_observations, data, participants)
     obs_equal = [_observation_signature(o) for o in obs_dict] == [
         _observation_signature(o) for o in obs_columnar
     ]
     if not obs_equal:
-        failures.append("observations: backends disagree on assembled devices")
+        failures.append("observations: production disagrees with the oracle")
     payload["observations"] = {
         "devices": len(obs_columnar),
         "dict_seconds": round(t_dict, 4),
@@ -553,23 +565,21 @@ def run_data_bench(
         f"({payload['observations']['speedup']}x, equal={obs_equal})"
     )
 
-    # 4. Feature extraction: scalar per-(app, device) loops vs batch
-    # column slices.  Must be byte-identical (DESIGN.md §9), and the two
-    # backends must agree.  Warm the VT cache first so neither timed
-    # path pays the one-time scan cost.
+    # 4. Feature extraction: the oracle's scalar per-(app, device) loops
+    # vs batch column slices, over the same observations.  Must be
+    # byte-identical (DESIGN.md §9).  Warm the VT cache first so neither
+    # timed path pays the one-time scan cost.
     packages_per_obs = [
         (obs, sorted(obs.observed_packages)) for obs in obs_columnar
     ]
     for obs_, packages in packages_per_obs:
-        app_feature_matrix(obs_, packages, data_columnar.catalog, data_columnar.vt_client)
+        app_feature_matrix(obs_, packages, data.catalog, data.vt_client)
 
     def scalar_app_pass():
         return [
             np.vstack(
                 [
-                    app_feature_vector(
-                        obs_, p, data_columnar.catalog, data_columnar.vt_client
-                    )
+                    app_feature_vector(obs_, p, data.catalog, data.vt_client)
                     for p in packages
                 ]
             )
@@ -579,9 +589,7 @@ def run_data_bench(
 
     def batch_app_pass():
         return [
-            app_feature_matrix(
-                obs_, packages, data_columnar.catalog, data_columnar.vt_client
-            )
+            app_feature_matrix(obs_, packages, data.catalog, data.vt_client)
             for obs_, packages in packages_per_obs
             if packages
         ]

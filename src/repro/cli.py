@@ -13,8 +13,8 @@ Commands
 ``profile``     run a full study + report with tracing on; print the
                 span-tree timing report and the top-N slowest spans
 ``bench``       speedup/determinism suites: ``ml`` (CV/forest/KNN serial
-                vs parallel -> BENCH_ml.json), ``data`` (columnar data
-                plane vs dict backend -> BENCH_data.json), ``lint``
+                vs parallel -> BENCH_ml.json), ``data`` (production data
+                plane vs the reference oracle -> BENCH_data.json), ``lint``
                 (serial vs parallel statan analysis -> BENCH_lint.json),
                 ``sim`` (serial vs sharded day phases ->
                 BENCH_sim.json), or ``all``
@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "suite", nargs="?", choices=("ml", "data", "lint", "sim", "all"),
         default="ml",
-        help="ml: serial-vs-parallel ML workloads; data: columnar "
-        "data plane vs dict backend; lint: serial-vs-parallel statan "
+        help="ml: serial-vs-parallel ML workloads; data: production "
+        "data plane vs the reference oracle; lint: serial-vs-parallel statan "
         "analysis; sim: serial-vs-sharded simulation day phases; "
         "all: every suite (default: ml)",
     )

@@ -11,14 +11,13 @@ quantities the measurements and feature extractors need.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ..frames import ColumnFrame, ColumnRun, FrameRow
-from ..platform.store import ColumnarCollection
 from ..playstore.reviews import Review
 from ..simulation.clock import SECONDS_PER_DAY
 from ..simulation.world import Participant, StudyData
@@ -60,62 +59,53 @@ def _first_rows(frame: ColumnFrame) -> dict[str, FrameRow]:
     return first
 
 
-def _typed_run(runs) -> ColumnRun | None:
-    """``runs`` as a :class:`ColumnRun` over a *typed* frame, else
-    ``None`` — the gate for the vectorized accessor paths.  Dict-backend
-    lists, truncated copies, and degraded generic frames (where a
-    missing key must honour ``.get`` defaults) all take the scalar
-    per-row path instead."""
-    if isinstance(runs, ColumnRun) and runs.frame.schema is not None:
-        return runs
-    return None
+def _snapshot_total(run: ColumnRun) -> int:
+    """Sum of ``1 + (end - start) // period`` over the run.
 
-
-def _snapshot_total(runs) -> int:
-    """Sum of ``1 + (end - start) // period`` over the runs.
-
-    The vectorized branch is exact: numpy's float64 ``floor_divide``
-    matches CPython's ``//`` result bit for bit, and truncating the
-    already-floored quotient equals ``int(...)``.
+    Exact: numpy's float64 ``floor_divide`` matches CPython's ``//``
+    result bit for bit, and truncating the already-floored quotient
+    equals ``int(...)``.
     """
-    run = _typed_run(runs)
-    if run is None:
-        return sum(
-            1 + int((r["end"] - r["start"]) // r["period"]) for r in runs
-        )
     if not len(run):
         return 0
     counts = (run.column("end") - run.column("start")) // run.column("period")
     return int(len(run) + counts.astype(np.int64).sum())
 
 
+_SNAPSHOT_COLLECTIONS = ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
+
+
 def _snapshot_getters(data: StudyData):
     """Per-install accessors for (initial, slow, fast, app_changes).
 
-    Columnar store: one pass per collection builds every install's
-    zero-copy view list.  Dict store: fall back to the server's indexed
-    per-install queries.  Both yield rows in identical order.
+    One pass per collection builds every install's zero-copy view; an
+    install with no rows gets an empty run over the same frame.  Raises
+    ``TypeError`` when a snapshot collection's frame is untyped — only
+    a document outside validated ingest can degrade it, and every
+    accessor reads typed column slices.
     """
-    server = data.server
-    names = ("initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    collections = [server.store[name] for name in names]
-    if not all(isinstance(c, ColumnarCollection) for c in collections):
-        return (
-            server.initial_snapshot,
-            server.slow_runs,
-            server.fast_runs,
-            server.app_changes,
-        )
-    initial_c, slow_c, fast_c, changes_c = collections
-    initial_map = _first_rows(initial_c.frame)
-    slow_map = _partition_runs(slow_c.frame, "start")
-    fast_map = _partition_runs(fast_c.frame, "start")
-    change_map = _partition_runs(changes_c.frame, "timestamp")
+    frames = []
+    for name in _SNAPSHOT_COLLECTIONS:
+        frame = data.server.store[name].frame
+        if frame.schema is None:
+            raise TypeError(
+                f"snapshot collection {name!r} holds an untyped frame: a "
+                "document outside its schema degraded it"
+            )
+        frames.append(frame)
+    initial_f, slow_f, fast_f, changes_f = frames
+    initial_map = _first_rows(initial_f)
+    slow_map = _partition_runs(slow_f, "start")
+    fast_map = _partition_runs(fast_f, "start")
+    change_map = _partition_runs(changes_f, "timestamp")
+    no_slow, no_fast, no_changes = (
+        ColumnRun(frame, []) for frame in (slow_f, fast_f, changes_f)
+    )
     return (
         initial_map.get,
-        lambda install_id: slow_map.get(install_id, []),
-        lambda install_id: fast_map.get(install_id, []),
-        lambda install_id: change_map.get(install_id, []),
+        lambda install_id: slow_map.get(install_id, no_slow),
+        lambda install_id: fast_map.get(install_id, no_fast),
+        lambda install_id: change_map.get(install_id, no_changes),
     )
 
 
@@ -123,21 +113,20 @@ def _snapshot_getters(data: StudyData):
 class DeviceObservation:
     """All collected data for one device, with derived accessors.
 
-    The snapshot runs are read-only row sequences: plain dict lists
-    when the store runs the dict backend, zero-copy
-    :class:`~repro.frames.ColumnRun` position runs over the ingest
-    frames when it runs the columnar backend.  Every accessor produces
-    identical values either way; the hot ones (snapshot totals,
-    foreground usage, app-change scans) read whole column slices off a
-    typed run instead of touching rows one by one.
+    The snapshot runs are zero-copy :class:`~repro.frames.ColumnRun`
+    position runs over typed frames; the hot accessors (snapshot
+    totals, foreground usage, app-change scans) read whole column
+    slices instead of touching rows one by one.
+    :class:`repro.reference.ReferenceObservation` computes the same
+    values row by row over dict lists (the test oracle).
     """
 
     participant: Participant
     install_id: str
     initial: Mapping | None
-    slow_runs: Sequence[Mapping]
-    fast_runs: Sequence[Mapping]
-    app_changes: Sequence[Mapping]
+    slow_runs: ColumnRun
+    fast_runs: ColumnRun
+    app_changes: ColumnRun
     #: Google IDs of the Gmail accounts seen in slow snapshots, resolved
     #: through the ID crawler (§5).
     google_ids: frozenset[str]
@@ -174,29 +163,18 @@ class DeviceObservation:
     @cached_property
     def reported_accounts(self) -> tuple[tuple[str, str], ...]:
         """Accounts from the latest slow run that carried the permission."""
-        run = _typed_run(self.slow_runs)
-        if run is not None:
-            frame = run.frame
-            permissions = frame.values("accounts_permission")
-            accounts = frame.values("accounts")
-            for position in reversed(run.positions.tolist()):
-                if permissions[position] and accounts[position]:
-                    return tuple(tuple(pair) for pair in accounts[position])
-            return ()
-        for run in reversed(self.slow_runs):
-            if run.get("accounts_permission", True) and run["accounts"]:
-                return tuple(tuple(pair) for pair in run["accounts"])
+        run = self.slow_runs
+        permissions = run.frame.values("accounts_permission")
+        accounts = run.frame.values("accounts")
+        for position in reversed(run.positions.tolist()):
+            if permissions[position] and accounts[position]:
+                return tuple(tuple(pair) for pair in accounts[position])
         return ()
 
     @property
     def reported_account_data(self) -> bool:
         """Whether GET_ACCOUNTS data ever arrived for this device."""
-        run = _typed_run(self.slow_runs)
-        if run is not None:
-            return bool(len(run)) and bool(
-                run.column("accounts_permission").any()
-            )
-        return any(run.get("accounts_permission", True) for run in self.slow_runs)
+        return bool(self.slow_runs.column("accounts_permission").any())
 
     @cached_property
     def gmail_addresses(self) -> tuple[str, ...]:
@@ -248,13 +226,9 @@ class DeviceObservation:
             return tuple(run["stopped_apps"])
         return ()
 
-    def _change_cells(self, *fields: str) -> zip | None:
-        """Parallel raw-value streams over the app-change run, or
-        ``None`` when the events are not a typed run (scalar path)."""
-        run = _typed_run(self.app_changes)
-        if run is None:
-            return None
-        return zip(*(run.cells(name) for name in fields))
+    def _change_cells(self, *fields: str) -> zip:
+        """Parallel raw-value streams over the app-change run."""
+        return zip(*(self.app_changes.cells(name) for name in fields))
 
     @cached_property
     def install_times(self) -> dict[str, float]:
@@ -262,14 +236,9 @@ class DeviceObservation:
         overridden by any install events during the study)."""
         times = {a["package"]: a["install_time"] for a in self.initial_apps}
         cells = self._change_cells("action", "package", "install_time")
-        if cells is not None:
-            for action, package, install_time in cells:
-                if action == "install" and install_time is not None:
-                    times[package] = install_time
-            return times
-        for event in self.app_changes:
-            if event["action"] == "install" and event.get("install_time") is not None:
-                times[event["package"]] = event["install_time"]
+        for action, package, install_time in cells:
+            if action == "install" and install_time is not None:
+                times[package] = install_time
         return times
 
     @cached_property
@@ -278,14 +247,9 @@ class DeviceObservation:
             a["package"]: a["apk_hash"] for a in self.initial_apps if a["apk_hash"]
         }
         cells = self._change_cells("action", "package", "apk_hash")
-        if cells is not None:
-            for action, package, apk_hash in cells:
-                if action == "install" and apk_hash:
-                    hashes[package] = apk_hash
-            return hashes
-        for event in self.app_changes:
-            if event["action"] == "install" and event.get("apk_hash"):
-                hashes[event["package"]] = event["apk_hash"]
+        for action, package, apk_hash in cells:
+            if action == "install" and apk_hash:
+                hashes[package] = apk_hash
         return hashes
 
     @cached_property
@@ -293,27 +257,14 @@ class DeviceObservation:
         """Every package seen installed at any point during the study."""
         packages = set(self.initial_packages)
         cells = self._change_cells("action", "package")
-        if cells is not None:
-            packages.update(
-                package for action, package in cells if action == "install"
-            )
-        else:
-            packages.update(
-                e["package"] for e in self.app_changes if e["action"] == "install"
-            )
+        packages.update(package for action, package in cells if action == "install")
         return frozenset(packages)
 
     def _event_counts(self, wanted: str) -> dict[str, int]:
         counts: dict[str, int] = defaultdict(int)
-        cells = self._change_cells("action", "package")
-        if cells is not None:
-            for action, package in cells:
-                if action == wanted:
-                    counts[package] += 1
-        else:
-            for event in self.app_changes:
-                if event["action"] == wanted:
-                    counts[event["package"]] += 1
+        for action, package in self._change_cells("action", "package"):
+            if action == wanted:
+                counts[package] += 1
         return dict(counts)
 
     @cached_property
@@ -337,63 +288,35 @@ class DeviceObservation:
     def foreground_days(self) -> dict[str, set[int]]:
         """package -> set of day indexes on which it held the foreground."""
         out: dict[str, set[int]] = defaultdict(set)
-        run = _typed_run(self.fast_runs)
-        if run is not None:
-            if len(run):
-                packages = run.cells("foreground")
-                firsts = (
-                    (run.column("start") // SECONDS_PER_DAY)
-                    .astype(np.int64)
-                    .tolist()
-                )
-                lasts = (
-                    (run.column("end") // SECONDS_PER_DAY)
-                    .astype(np.int64)
-                    .tolist()
-                )
-                for package, first, last in zip(packages, firsts, lasts):
-                    if package is None:
-                        continue
-                    days = out[package]
-                    for day in range(first, last + 1):
-                        days.add(day)
-        else:
-            for run in self.fast_runs:
-                package = run["foreground"]
+        run = self.fast_runs
+        if len(run):
+            packages = run.cells("foreground")
+            firsts = (run.column("start") // SECONDS_PER_DAY).astype(np.int64).tolist()
+            lasts = (run.column("end") // SECONDS_PER_DAY).astype(np.int64).tolist()
+            for package, first, last in zip(packages, firsts, lasts):
                 if package is None:
                     continue
-                first = int(run["start"] // SECONDS_PER_DAY)
-                last = int(run["end"] // SECONDS_PER_DAY)
+                days = out[package]
                 for day in range(first, last + 1):
-                    out[package].add(day)
+                    days.add(day)
         return dict(out)
 
     @cached_property
     def foreground_snapshots(self) -> dict[str, int]:
         """package -> total number of fast snapshots with it on screen."""
         out: dict[str, int] = defaultdict(int)
-        run = _typed_run(self.fast_runs)
-        if run is not None:
-            if len(run):
-                packages = run.cells("foreground")
-                counts = (
-                    (
-                        (run.column("end") - run.column("start"))
-                        // run.column("period")
-                    )
-                    .astype(np.int64)
-                    .tolist()
-                )
-                for package, count in zip(packages, counts):
-                    if package is None:
-                        continue
-                    out[package] += 1 + count
-        else:
-            for run in self.fast_runs:
-                package = run["foreground"]
+        run = self.fast_runs
+        if len(run):
+            packages = run.cells("foreground")
+            counts = (
+                ((run.column("end") - run.column("start")) // run.column("period"))
+                .astype(np.int64)
+                .tolist()
+            )
+            for package, count in zip(packages, counts):
                 if package is None:
                     continue
-                out[package] += 1 + int((run["end"] - run["start"]) // run["period"])
+                out[package] += 1 + count
         return dict(out)
 
     @property
@@ -444,26 +367,22 @@ class DeviceObservation:
         needs (the paper keeps only devices with >= 2 days of snapshots).
 
         Reviews are not truncated: the Play-side review history is
-        available regardless of how long RacketStore ran.
+        available regardless of how long RacketStore ran.  App changes
+        stay a position subset of the original run; slow and fast runs
+        are end-clipped rows re-typed through the run's own schema.
         """
         cutoff = self.installed_at + days * SECONDS_PER_DAY
+        changes = self.app_changes
         clipped = DeviceObservation(
             participant=self.participant,
             install_id=self.install_id,
             initial=self.initial,
-            slow_runs=[
-                {**run, "end": min(run["end"], cutoff)}
-                for run in self.slow_runs
-                if run["start"] < cutoff
-            ],
-            fast_runs=[
-                {**run, "end": min(run["end"], cutoff)}
-                for run in self.fast_runs
-                if run["start"] < cutoff
-            ],
-            app_changes=[
-                event for event in self.app_changes if event["timestamp"] < cutoff
-            ],
+            slow_runs=_clipped_run(self.slow_runs, cutoff),
+            fast_runs=_clipped_run(self.fast_runs, cutoff),
+            app_changes=ColumnRun(
+                changes.frame,
+                changes.positions[changes.column("timestamp") < cutoff],
+            ),
             google_ids=self.google_ids,
             device_reviews=self.device_reviews,
             all_account_reviews=self.all_account_reviews,
@@ -486,15 +405,48 @@ class DeviceObservation:
         ]
 
 
+def _clipped_run(run: ColumnRun, cutoff: float) -> ColumnRun:
+    """The rows of ``run`` that start before ``cutoff``, each with
+    ``end`` clipped to it, in a fresh frame of the run's schema."""
+    frame = ColumnFrame(run.frame.schema)
+    frame.extend_batch(
+        [{**row, "end": min(row["end"], cutoff)} for row in run if row["start"] < cutoff]
+    )
+    return ColumnRun(frame, np.arange(len(frame)))
+
+
+def _join_crawls(obs: DeviceObservation, data: StudyData) -> DeviceObservation:
+    """Fill ``obs``'s Google IDs and reviews from the crawlers: Gmail
+    addresses resolve through the ID crawler, and the review store is
+    joined by Google ID, exactly like the paper's backend (§5)."""
+    ids = {
+        google_id
+        for email in obs.gmail_addresses
+        if (google_id := data.id_crawler.lookup(email)) is not None
+    }
+    obs.google_ids = frozenset(ids)
+    # The §5 "reviews posted by accounts registered on participant
+    # devices" dataset.
+    per_app: dict[str, list[Review]] = defaultdict(list)
+    all_reviews: list[Review] = []
+    # Sorted: per_app's key insertion order (hence device_reviews'
+    # key order) must not depend on per-process set/hash ordering.
+    for google_id in sorted(ids):
+        for review in data.review_store.reviews_by_google_id(google_id):
+            per_app[review.app_package].append(review)
+            all_reviews.append(review)
+    obs.device_reviews = {
+        package: sorted(reviews) for package, reviews in per_app.items()
+    }
+    obs.all_account_reviews = sorted(all_reviews)
+    return obs
+
+
 def build_observations(
     data: StudyData, participants: list[Participant] | None = None
 ) -> list[DeviceObservation]:
-    """Assemble observations for (by default) every participant.
-
-    Resolves Gmail addresses to Google IDs through the ID crawler and
-    joins the review store by Google ID, exactly like the paper's
-    backend (§5).
-    """
+    """Assemble observations for (by default) every participant
+    (snapshot runs from the store, reviews via :func:`_join_crawls`)."""
     participants = participants if participants is not None else data.participants
     initial_for, slow_for, fast_for, changes_for = _snapshot_getters(data)
     observations: list[DeviceObservation] = []
@@ -511,26 +463,5 @@ def build_observations(
             app_changes=changes_for(install_id),
             google_ids=frozenset(),
         )
-        # Resolve Gmail -> Google ID through the crawler.
-        ids = {
-            google_id
-            for email in obs.gmail_addresses
-            if (google_id := data.id_crawler.lookup(email)) is not None
-        }
-        obs.google_ids = frozenset(ids)
-        # Join reviews by Google ID (the §5 "reviews posted by accounts
-        # registered on participant devices" dataset).
-        per_app: dict[str, list[Review]] = defaultdict(list)
-        all_reviews: list[Review] = []
-        # Sorted: per_app's key insertion order (hence device_reviews'
-        # key order) must not depend on per-process set/hash ordering.
-        for google_id in sorted(ids):
-            for review in data.review_store.reviews_by_google_id(google_id):
-                per_app[review.app_package].append(review)
-                all_reviews.append(review)
-        obs.device_reviews = {
-            package: sorted(reviews) for package, reviews in per_app.items()
-        }
-        obs.all_account_reviews = sorted(all_reviews)
-        observations.append(obs)
+        observations.append(_join_crawls(obs, data))
     return observations

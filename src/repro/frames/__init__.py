@@ -11,7 +11,8 @@ zero-copy :class:`FrameRow` mapping views instead of materialized dicts.
 
 The hard contract of the data plane (DESIGN.md §9): every consumer —
 feature matrices, labels, experiment reports — must be byte-identical
-whether it runs over dicts or over frames.
+to what the dict-per-document oracle in :mod:`repro.reference`
+computes.
 """
 
 from .frame import ColumnFrame, ColumnRun, FrameRow

@@ -28,7 +28,7 @@ Two evaluation strategies share those semantics:
   skip normalization entirely.
 
 Matching positions always come back ascending, i.e. in insertion
-order — the same order the dict backend's scan produces.
+order — the same order a document-by-document scan produces.
 """
 
 from __future__ import annotations

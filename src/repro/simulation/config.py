@@ -88,13 +88,6 @@ class SimulationConfig:
     worker_accounts_multiplier: float = 1.0
     worker_review_volume_multiplier: float = 1.0
 
-    #: Document-store backend for the server: "columnar" (typed
-    #: ColumnFrame storage, DESIGN.md §9) or "dict"; ``None`` defers to
-    #: ``$REPRO_STORE_BACKEND`` (default columnar).  Both backends
-    #: produce byte-identical analyses — this knob exists for the
-    #: equivalence tests and the data-plane benchmark.
-    store_backend: str | None = None
-
     #: Optional seeded fault-injection plan
     #: (:class:`repro.faults.FaultPlan`).  ``None`` — the default — keeps
     #: the paper-calibrated legacy channel (loss only, drawn from the

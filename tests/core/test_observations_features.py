@@ -1,6 +1,7 @@
 """Tests for device observations and the §7.1/§8.1 feature extractors."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,15 +9,23 @@ import pytest
 from repro.core.app_features import (
     APP_FEATURE_NAMES,
     NEVER_REVIEWED_SENTINEL_DAYS,
-    app_feature_vector,
-    extract_app_features,
+    app_feature_matrix,
 )
-from repro.core.device_features import (
-    DEVICE_FEATURE_NAMES,
-    device_feature_vector,
-    extract_device_features,
-)
+from repro.core.device_features import DEVICE_FEATURE_NAMES, device_feature_matrix
 from repro.core.observations import build_observations
+from repro.platform.server import RacketStoreServer
+
+
+def app_features(obs, package, catalog, vt_client=None) -> dict[str, float]:
+    """One production feature row, keyed by APP_FEATURE_NAMES."""
+    row = app_feature_matrix(obs, [package], catalog, vt_client)[0]
+    return dict(zip(APP_FEATURE_NAMES, row.tolist()))
+
+
+def device_features(obs, app_suspiciousness=None) -> dict[str, float]:
+    """One production device row, keyed by DEVICE_FEATURE_NAMES."""
+    row = device_feature_matrix([obs], [app_suspiciousness])[0]
+    return dict(zip(DEVICE_FEATURE_NAMES, row.tolist()))
 
 
 class TestObservations:
@@ -72,10 +81,9 @@ class TestAppFeatures:
     def test_vector_matches_names(self, study, observations):
         obs = observations[0]
         package = obs.initial_apps[0]["package"]
-        features = extract_app_features(obs, package, study.catalog, study.vt_client)
-        assert set(features) == set(APP_FEATURE_NAMES)
-        vector = app_feature_vector(obs, package, study.catalog, study.vt_client)
-        assert vector.shape == (len(APP_FEATURE_NAMES),)
+        matrix = app_feature_matrix(obs, [package], study.catalog, study.vt_client)
+        assert matrix.shape == (1, len(APP_FEATURE_NAMES))
+        assert len(set(APP_FEATURE_NAMES)) == len(APP_FEATURE_NAMES)
 
     def test_never_reviewed_sentinel(self, study, observations):
         for obs in observations:
@@ -85,7 +93,7 @@ class TestAppFeatures:
                 if a["package"] not in obs.device_reviews
             ]
             if unreviewed:
-                features = extract_app_features(obs, unreviewed[0], study.catalog)
+                features = app_features(obs, unreviewed[0], study.catalog)
                 assert features["install_to_review_mean_days"] == NEVER_REVIEWED_SENTINEL_DAYS
                 assert features["accounts_reviewed_total"] == 0.0
                 break
@@ -98,7 +106,7 @@ class TestAppFeatures:
                 continue
             for package in obs.device_reviews:
                 if obs.install_to_review_days(package):
-                    features = extract_app_features(obs, package, study.catalog)
+                    features = app_features(obs, package, study.catalog)
                     assert features["install_to_review_mean_days"] < NEVER_REVIEWED_SENTINEL_DAYS
                     assert features["accounts_reviewed_total"] >= 1
                     return
@@ -106,7 +114,7 @@ class TestAppFeatures:
 
     def test_unknown_package_features_still_valid(self, study, observations):
         obs = observations[0]
-        features = extract_app_features(obs, "com.never.installed", study.catalog)
+        features = app_features(obs, "com.never.installed", study.catalog)
         assert features["inner_retention_days"] != features["inner_retention_days"]  # NaN
         assert features["n_install_events"] == 0.0
 
@@ -122,7 +130,7 @@ class TestAppFeatures:
                 package = app["package"]
                 if app["preinstalled"] or package not in truth:
                     continue
-                features = extract_app_features(obs, package, study.catalog)
+                features = app_features(obs, package, study.catalog)
                 target = promo_totals if truth[package] else personal_totals
                 target.append(features["accounts_reviewed_total"])
         assert np.mean(promo_totals) > np.mean(personal_totals) + 0.5
@@ -131,18 +139,19 @@ class TestAppFeatures:
 class TestDeviceFeatures:
     def test_vector_matches_names(self, observations):
         obs = observations[0]
-        features = extract_device_features(obs, app_suspiciousness=0.5)
-        assert set(features) == set(DEVICE_FEATURE_NAMES)
-        assert device_feature_vector(obs, 0.5).shape == (len(DEVICE_FEATURE_NAMES),)
+        matrix = device_feature_matrix([obs], [0.5])
+        assert matrix.shape == (1, len(DEVICE_FEATURE_NAMES))
+        assert len(set(DEVICE_FEATURE_NAMES)) == len(DEVICE_FEATURE_NAMES)
+        assert device_features(obs, 0.5)["app_suspiciousness"] == 0.5
 
     def test_suspiciousness_nan_when_missing(self, observations):
-        features = extract_device_features(observations[0], None)
+        features = device_features(observations[0], None)
         assert math.isnan(features["app_suspiciousness"])
 
     def test_workers_dominate_review_features(self, observations):
         def mean_feature(name, worker):
             values = [
-                extract_device_features(o)[name]
+                device_features(o)[name]
                 for o in observations
                 if o.is_worker == worker
             ]
@@ -164,7 +173,7 @@ class TestTruncation:
         obs = max(observations, key=lambda o: o.active_days)
         clipped = obs.truncated(2.0)
         cutoff = obs.installed_at + 2.0 * 86_400.0
-        for run in clipped.fast_runs + clipped.slow_runs:
+        for run in [*clipped.fast_runs, *clipped.slow_runs]:
             assert run["start"] < cutoff
             assert run["end"] <= cutoff
         for event in clipped.app_changes:
@@ -188,3 +197,14 @@ class TestTruncation:
         before = obs.total_snapshots
         obs.truncated(1.0)
         assert obs.total_snapshots == before
+
+
+class TestObservationAssembly:
+    def test_degraded_snapshot_collection_raises(self):
+        server = RacketStoreServer()
+        # Outside validated ingest: a document off the fast_run schema
+        # degrades the collection's frame to generic columns.
+        server.store["fast_runs"].insert({"install_id": "i0", "odd": True})
+        data = SimpleNamespace(server=server, participants=[])
+        with pytest.raises(TypeError, match="fast_runs"):
+            build_observations(data)

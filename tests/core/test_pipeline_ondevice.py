@@ -119,6 +119,17 @@ class TestOnDeviceDetector:
         )
         assert correct / len(pipeline_result.observations) >= 0.85
 
+    def test_scan_matches_pipeline(self, detector, study, pipeline_result):
+        verdicts = {v.install_id: v for v in pipeline_result.verdicts}
+        for obs in pipeline_result.observations:
+            report = detector.scan(obs, study.catalog, study.vt_client)
+            verdict = verdicts[obs.install_id]
+            assert report.app_suspiciousness == pipeline_result.suspiciousness[
+                obs.install_id
+            ]
+            assert report.worker_probability == verdict.worker_probability
+            assert report.device_flagged == verdict.predicted_worker
+
     def test_suspiciousness_consistent_with_flags(self, detector, study, pipeline_result):
         report = detector.scan(pipeline_result.observations[0], study.catalog)
         if report.n_apps_scanned:

@@ -26,6 +26,7 @@ from repro.platform.models import FastSnapshotRun
 from repro.platform.server import _COLLECTIONS
 from repro.platform.store import DocumentStore
 from repro.platform.transport import Transport
+from repro.reference import Collection
 
 DAY_S = 86_400.0
 
@@ -162,21 +163,20 @@ class TestCrashMidChunk:
         assert len(server.store["fast_runs"]) == 8
         assert_no_duplicates(server)
 
-    def test_crash_rollback_both_store_backends(self):
-        for backend in ("dict", "columnar"):
-            plan = FaultPlan(receive_crash=FaultSpec(1.0))
-            server = FaultableServer(
-                DocumentStore(backend=backend),
-                plan=plan,
-                rng=np.random.default_rng([9, 0x5E4]),
-            )
-            data = chunk_bytes()
-            with pytest.raises(ServerCrash):
-                server.receive_chunk("fast", data)
-            assert len(server.store["fast_runs"]) == 0, backend
-            server.heal()
+    def test_crash_rollback_leaves_store_empty(self):
+        plan = FaultPlan(receive_crash=FaultSpec(1.0))
+        server = FaultableServer(
+            DocumentStore(),
+            plan=plan,
+            rng=np.random.default_rng([9, 0x5E4]),
+        )
+        data = chunk_bytes()
+        with pytest.raises(ServerCrash):
             server.receive_chunk("fast", data)
-            assert len(server.store["fast_runs"]) == 8, backend
+        assert len(server.store["fast_runs"]) == 0
+        server.heal()
+        server.receive_chunk("fast", data)
+        assert len(server.store["fast_runs"]) == 8
 
 
 class TestStoreRejectAndRedelivery:
@@ -288,10 +288,13 @@ class TestCorruptionEndToEnd:
 
 
 class TestStoreRollbackUnits:
-    @pytest.mark.parametrize("backend", ["dict", "columnar"])
-    def test_mark_rollback_restores_count_and_index(self, backend):
-        store = DocumentStore(backend=backend)
-        coll = store.collection("things")
+    @pytest.mark.parametrize(
+        "make",
+        [Collection, lambda name: DocumentStore().collection(name)],
+        ids=["dict", "columnar"],
+    )
+    def test_mark_rollback_restores_count_and_index(self, make):
+        coll = make("things")
         coll.create_index("install_id")
         coll.insert_many([{"install_id": "a", "v": 1}, {"install_id": "b", "v": 2}])
         mark = coll.mark()

@@ -1,132 +1,175 @@
-"""The data-plane hard contract (DESIGN.md §9): dict and columnar
-backends — and scalar and batch feature extraction — produce
-byte-identical analyses.
+"""The data-plane hard contract (DESIGN.md §9): the production store,
+observation assembly and batch featurisation produce byte-identical
+analyses to the reference oracle (:mod:`repro.reference`) over a dict
+replay of the same study's store.
 
 Exact equality throughout: feature matrices compare by ``tobytes()``,
-labels and instances by ``==``, experiment reports by their rendered
-text.  Any deviation, however small, is a contract violation.
+labels and instances by ``==``.  Any deviation, however small, is a
+contract violation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.app_features import app_feature_matrix, app_feature_vector
+from repro.benchmark import _make_fast_run_docs
+from repro.core.app_features import app_feature_matrix
 from repro.core.datasets import build_app_dataset, build_device_dataset
-from repro.core.device_features import device_feature_matrix, device_feature_vector
-from repro.core.observations import build_observations
-from repro.experiments import Workbench, run_experiment
-from repro.simulation import run_study
+from repro.core.device_features import device_feature_matrix
+from repro.ml.preprocessing import SimpleImputer
+from repro.parallel import spawn_seeds
+from repro.platform.store import DocumentStore
+from repro.reference import (
+    Collection,
+    app_feature_vector,
+    device_feature_vector,
+    reference_observations,
+    replay_server,
+)
+
+SNAPSHOT_COLLECTIONS = (
+    "installs",
+    "initial_snapshots",
+    "slow_runs",
+    "fast_runs",
+    "app_changes",
+)
 
 
 @pytest.fixture(scope="module")
-def dict_study(small_config):
-    return run_study(small_config.scaled(store_backend="dict"))
+def replay(study):
+    return replay_server(study.server)
 
 
 @pytest.fixture(scope="module")
-def columnar_study(small_config):
-    return run_study(small_config.scaled(store_backend="columnar"))
-
-
-@pytest.fixture(scope="module")
-def dict_observations(dict_study):
-    return build_observations(dict_study, dict_study.eligible_participants(min_days=2))
-
-
-@pytest.fixture(scope="module")
-def columnar_observations(columnar_study):
-    return build_observations(
-        columnar_study, columnar_study.eligible_participants(min_days=2)
+def reference(study, replay):
+    return reference_observations(
+        study, study.eligible_participants(min_days=2), replay
     )
 
 
-def test_store_contents_identical(dict_study, columnar_study):
-    names = ("installs", "initial_snapshots", "slow_runs", "fast_runs", "app_changes")
-    for name in names:
-        dict_docs = dict_study.server.store[name].find()
-        columnar_docs = columnar_study.server.store[name].find()
-        assert dict_docs == columnar_docs, name
+def test_store_contents_identical(study, replay):
+    for name in SNAPSHOT_COLLECTIONS:
+        assert replay.store[name].find() == study.server.store[name].find(), name
+    # The server's per-install indexed queries agree too.
+    for install_id in study.server.install_ids():
+        assert replay.initial_snapshot(install_id) == study.server.initial_snapshot(
+            install_id
+        )
+        for query in ("slow_runs", "fast_runs", "app_changes"):
+            assert getattr(replay, query)(install_id) == getattr(
+                study.server, query
+            )(install_id), (query, install_id)
 
 
-def test_observations_identical(dict_observations, columnar_observations):
-    assert len(dict_observations) == len(columnar_observations)
-    for d, c in zip(dict_observations, columnar_observations):
-        assert d.install_id == c.install_id
-        assert (d.initial or {}) == dict(c.initial or {})
-        assert [dict(r) for r in c.slow_runs] == d.slow_runs
-        assert [dict(r) for r in c.fast_runs] == d.fast_runs
-        assert [dict(r) for r in c.app_changes] == d.app_changes
-        assert d.google_ids == c.google_ids
-        assert d.device_reviews == c.device_reviews
+def _signature(obs) -> tuple:
+    return (
+        obs.install_id,
+        dict(obs.initial) if obs.initial else None,
+        [dict(run) for run in obs.slow_runs],
+        [dict(run) for run in obs.fast_runs],
+        [dict(event) for event in obs.app_changes],
+        obs.google_ids,
+        obs.device_reviews,
+        obs.all_account_reviews,
+        obs.reported_accounts,
+        obs.reported_account_data,
+        obs.install_times,
+        obs.apk_hashes,
+        obs.observed_packages,
+        obs.install_event_counts,
+        obs.uninstall_event_counts,
+        obs.foreground_days,
+        obs.foreground_snapshots,
+        obs.total_snapshots,
+    )
 
 
-def test_app_feature_matrix_byte_identical(dict_study, dict_observations,
-                                           columnar_study, columnar_observations):
-    for d_obs, c_obs in zip(dict_observations, columnar_observations):
-        packages = sorted(d_obs.observed_packages)
+def test_observations_identical(reference, observations):
+    assert len(reference) == len(observations)
+    for ref, obs in zip(reference, observations):
+        assert _signature(ref) == _signature(obs), obs.install_id
+
+
+def test_app_feature_matrix_byte_identical(study, reference, observations):
+    for ref, obs in zip(reference, observations):
+        packages = sorted(obs.observed_packages)
         if not packages:
             continue
         scalar = np.vstack(
             [
-                app_feature_vector(d_obs, p, dict_study.catalog, dict_study.vt_client)
+                app_feature_vector(ref, p, study.catalog, study.vt_client)
                 for p in packages
             ]
         )
-        batch = app_feature_matrix(
-            c_obs, packages, columnar_study.catalog, columnar_study.vt_client
-        )
-        assert scalar.tobytes() == batch.tobytes(), d_obs.install_id
+        batch = app_feature_matrix(obs, packages, study.catalog, study.vt_client)
+        assert scalar.tobytes() == batch.tobytes(), obs.install_id
 
 
-def test_device_feature_matrix_byte_identical(dict_observations, columnar_observations):
-    scores = [None if i % 3 == 0 else i / 7 for i in range(len(dict_observations))]
+def test_device_feature_matrix_byte_identical(reference, observations):
+    scores = [None if i % 3 == 0 else i / 7 for i in range(len(reference))]
     scalar = np.vstack(
-        [device_feature_vector(o, s) for o, s in zip(dict_observations, scores)]
+        [device_feature_vector(o, s) for o, s in zip(reference, scores)]
     )
-    batch = device_feature_matrix(columnar_observations, scores)
+    batch = device_feature_matrix(observations, scores)
     assert scalar.tobytes() == batch.tobytes()
 
 
-def test_datasets_byte_identical(dict_study, dict_observations,
-                                 columnar_study, columnar_observations):
-    scalar_apps = build_app_dataset(
-        dict_study, dict_observations, features="scalar"
+def test_datasets_byte_identical(study, reference, observations):
+    by_id = {ref.install_id: ref for ref in reference}
+    apps = build_app_dataset(study, observations)
+    oracle_X = SimpleImputer(strategy="median").fit_transform(
+        np.vstack(
+            [
+                app_feature_vector(
+                    by_id[instance.install_id],
+                    instance.package,
+                    study.catalog,
+                    study.vt_client,
+                )
+                for instance in apps.instances
+            ]
+        )
     )
-    batch_apps = build_app_dataset(
-        columnar_study, columnar_observations, features="batch"
-    )
-    assert scalar_apps.X.tobytes() == batch_apps.X.tobytes()
-    assert scalar_apps.y.tobytes() == batch_apps.y.tobytes()
-    assert scalar_apps.instances == batch_apps.instances
+    assert oracle_X.tobytes() == apps.X.tobytes()
+    assert [instance.label for instance in apps.instances] == apps.y.tolist()
 
     suspiciousness = {
-        o.install_id: i / 11 for i, o in enumerate(dict_observations) if i % 2
+        o.install_id: i / 11 for i, o in enumerate(observations) if i % 2
     }
-    scalar_devices = build_device_dataset(
-        dict_study, dict_observations, suspiciousness, features="scalar"
+    devices = build_device_dataset(study, observations, suspiciousness)
+    oracle_X = SimpleImputer(strategy="median").fit_transform(
+        np.vstack(
+            [
+                device_feature_vector(ref, suspiciousness.get(ref.install_id))
+                for ref in reference
+            ]
+        )
     )
-    batch_devices = build_device_dataset(
-        columnar_study, columnar_observations, suspiciousness, features="batch"
-    )
-    assert scalar_devices.X.tobytes() == batch_devices.X.tobytes()
-    assert scalar_devices.y.tobytes() == batch_devices.y.tobytes()
+    assert oracle_X.tobytes() == devices.X.tobytes()
+    assert [int(ref.is_worker) for ref in reference] == devices.y.tolist()
 
 
-def test_invalid_features_knob_rejected(dict_study, dict_observations):
-    with pytest.raises(ValueError, match="features"):
-        build_app_dataset(dict_study, dict_observations, features="vectorised")
-    with pytest.raises(ValueError, match="features"):
-        build_device_dataset(dict_study, dict_observations, features="turbo")
-
-
-def test_experiment_report_identical(small_config):
-    # fig07 (install-to-review) consumes the full observation join; its
-    # rendered report must not depend on the store backend.
-    reports = []
-    for backend in ("dict", "columnar"):
-        workbench = Workbench(small_config.scaled(store_backend=backend))
-        reports.append(run_experiment("fig07", workbench).render())
-    assert reports[0] == reports[1]
+@pytest.mark.parametrize("days", [1, 2, 5, 10])
+def test_truncated_features_match_reference(study, reference, observations, days):
+    clipped = [obs.truncated(days) for obs in observations]
+    clipped_ref = [ref.truncated(days) for ref in reference]
+    for ref, obs in zip(clipped_ref, clipped):
+        assert _signature(ref) == _signature(obs), obs.install_id
+        assert ref.active_days == obs.active_days
+        packages = sorted(obs.observed_packages)
+        if not packages:
+            continue
+        scalar = np.vstack(
+            [
+                app_feature_vector(ref, p, study.catalog, study.vt_client)
+                for p in packages
+            ]
+        )
+        batch = app_feature_matrix(obs, packages, study.catalog, study.vt_client)
+        assert scalar.tobytes() == batch.tobytes(), (days, obs.install_id)
+    scalar = np.vstack([device_feature_vector(ref, 0.5) for ref in clipped_ref])
+    batch = device_feature_matrix(clipped, [0.5] * len(clipped))
+    assert scalar.tobytes() == batch.tobytes()
 
 
 # -- interleaved insert/query/ingest workloads -------------------------------
@@ -134,20 +177,15 @@ def test_experiment_report_identical(small_config):
 # The staged-write data plane defers columnarization and index
 # maintenance until a read needs them, so the contract must hold not
 # just for settled stores but at every point of an interleaved
-# write/read sequence: each query below runs against both backends
-# mid-ingest and must return byte-identical documents.
-
-from repro.benchmark import _make_fast_run_docs
-from repro.parallel import spawn_seeds
-from repro.platform.store import DocumentStore
+# write/read sequence: each query below runs against the oracle and the
+# production store mid-ingest and must return byte-identical documents.
 
 
-def _paired_fast_run_collections():
-    pair = []
-    for backend in ("dict", "columnar"):
-        collection = DocumentStore(backend=backend).collection("fast_runs")
-        collection.create_index("install_id")
-        pair.append(collection)
+def _paired_fast_run_collections(*indexed: str):
+    pair = [Collection("fast_runs"), DocumentStore().collection("fast_runs")]
+    for collection in pair:
+        for fieldname in ("install_id", *indexed):
+            collection.create_index(fieldname)
     return pair
 
 
@@ -197,14 +235,37 @@ def test_single_inserts_interleaved_with_indexed_finds_identical():
     assert dict_col.find() == columnar_col.find()
 
 
-@pytest.mark.parametrize("root_seed", [0, 1, 2])
-def test_randomized_interleaved_workload_equivalence(root_seed):
+def _nan_start_docs(root_seed: int) -> list[dict]:
+    """Fast runs with a few NaN ``start`` keys (JSON ingest accepts
+    ``NaN``): ordering operators must skip them on every path."""
+    docs = _make_fast_run_docs(10, 8, root_seed)
+    for position in (3, 17, 41):
+        docs[position] = {**docs[position], "start": float("nan")}
+    return docs
+
+
+@pytest.mark.parametrize(
+    "root_seed, nan_starts",
+    [
+        pytest.param(0, False, id="0"),
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(4, True, id="nan-start-index"),
+    ],
+)
+def test_randomized_interleaved_workload_equivalence(root_seed, nan_starts):
     # Property-style replay: a seeded random interleaving of
-    # insert/insert_many/find/count/distinct against both backends.
+    # insert/insert_many/find/count/distinct against the oracle and the
+    # production store.  The NaN case also range-indexes ``start``, so
+    # range probes bisect a sorted run that NaN keys must stay out of.
     (seed,) = spawn_seeds(root_seed, 1)
     rng = np.random.default_rng(seed)
-    docs = _make_fast_run_docs(10, 8, root_seed)
-    dict_col, columnar_col = _paired_fast_run_collections()
+    if nan_starts:
+        docs = _nan_start_docs(root_seed)
+        dict_col, columnar_col = _paired_fast_run_collections("start")
+    else:
+        docs = _make_fast_run_docs(10, 8, root_seed)
+        dict_col, columnar_col = _paired_fast_run_collections()
     install_ids = sorted({doc["install_id"] for doc in docs})
     i = 0
     while i < len(docs):
@@ -235,5 +296,8 @@ def test_randomized_interleaved_workload_equivalence(root_seed):
             assert dict_col.distinct(
                 "screen_on", {"usage_permission": True}
             ) == columnar_col.distinct("screen_on", {"usage_permission": True})
+    for lo in (0.0, 200.0, 450.0, 700.0):
+        query = {"start": {"$gte": lo, "$lt": lo + 300.0}}
+        assert dict_col.find(query) == columnar_col.find(query), query
     assert dict_col.find() == columnar_col.find()
     assert len(dict_col) == len(columnar_col)

@@ -1,9 +1,11 @@
 """Tests for the staged write path, the incremental sorted index, and
-the length-stamped query-result cache of the columnar collections."""
+the length-stamped query-result cache of the columnar collections
+(checked against the dict oracle where results are compared)."""
 
 import pytest
 
 from repro.platform.store import DocumentStore, _SortedColumnIndex
+from repro.reference import Collection
 
 
 def _fast_run(install_id, start, foreground=None):
@@ -21,8 +23,14 @@ def _fast_run(install_id, start, foreground=None):
     }
 
 
-def _collection(backend="columnar"):
-    collection = DocumentStore(backend=backend).collection("fast_runs")
+def _production(name):
+    return DocumentStore().collection(name)
+
+
+def _collection(make=_production):
+    """An install_id-indexed ``fast_runs`` collection from ``make``:
+    the production store by default, or the dict oracle."""
+    collection = make("fast_runs")
     collection.create_index("install_id")
     return collection
 
@@ -38,25 +46,25 @@ class TestStagedWrites:
         assert len(collection._frame) == 3  # the read merged the backlog
 
     def test_compact_settles_the_backlog(self):
-        store = DocumentStore(backend="columnar")
+        store = DocumentStore()
         collection = store.collection("fast_runs")
         collection.insert_many([_fast_run("a", 0.0)])
         store.compact()
         assert len(collection._frame) == 1
-        # dict backend: compact is a no-op that must not blow up
-        DocumentStore(backend="dict").compact()
+        store.compact()  # settled collections: a no-op
+        assert len(collection._frame) == 1
 
     def test_insert_many_raises_at_offending_record_keeping_earlier(self):
-        for backend in ("dict", "columnar"):
-            collection = _collection(backend)
+        for make in (Collection, _production):
+            collection = _collection(make)
             with pytest.raises(TypeError):
                 collection.insert_many([_fast_run("a", 0.0), "nope"])
             assert len(collection) == 1
             assert collection.find_one({"install_id": "a"}) is not None
 
     def test_schema_mismatch_degrades_at_read_with_all_documents_kept(self):
-        dict_col = _collection("dict")
-        columnar_col = _collection("columnar")
+        dict_col = _collection(Collection)
+        columnar_col = _collection()
         docs = [_fast_run("a", 0.0), {"install_id": "b", "odd": True}]
         for collection in (dict_col, columnar_col):
             collection.insert_many(docs)
@@ -132,8 +140,8 @@ class TestSortedIndexDelta:
         assert collection._indexes["start"]._filled == 128
 
     def test_interleaved_results_keep_insertion_order(self):
-        dict_col = _collection("dict")
-        columnar_col = _collection("columnar")
+        dict_col = _collection(Collection)
+        columnar_col = _collection()
         for k in range(40):
             doc = _fast_run("a" if k % 2 else "b", float(40 - k))
             dict_col.insert(doc)

@@ -1,15 +1,18 @@
-"""Tests for the Mongo-like document store."""
+"""Tests for the Mongo-like document store (the production columnar
+collections; index-vs-scan properties also checked against the dict
+oracle)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platform.store import Collection, DocumentStore
+from repro.platform.store import DocumentStore
+from repro.reference import Collection
 
 
 @pytest.fixture()
 def people():
-    collection = Collection("people")
+    collection = DocumentStore().collection("people")
     collection.insert_many(
         [
             {"name": "ana", "age": 30, "city": "lima"},
@@ -83,13 +86,18 @@ class TestIndexes:
         st.integers(0, 5),
     )
     def test_property_indexed_equals_scanned(self, docs, key):
-        plain = Collection("plain")
-        indexed = Collection("indexed")
+        store = DocumentStore()
+        plain = store.collection("plain")
+        indexed = store.collection("indexed")
+        oracle = Collection("oracle")
         indexed.create_index("k")
         for doc in docs:
             plain.insert(dict(doc))
             indexed.insert(dict(doc))
-        assert plain.find({"k": key}) == indexed.find({"k": key})
+            oracle.insert(dict(doc))
+        expected = oracle.find({"k": key})
+        assert plain.find({"k": key}) == expected
+        assert indexed.find({"k": key}) == expected
 
 
 class TestDocumentStore:

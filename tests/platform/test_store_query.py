@@ -1,16 +1,26 @@
-"""Dict vs columnar store backends: same query language, same results.
+"""The production columnar store against the dict-per-document oracle:
+same query language, same results.
 
-The contract (DESIGN.md §9): for any query both backends return the
-same documents in the same order through the same public API.  Every
-``_OPERATORS`` operator is exercised on both backends, with and without
-indexes, on generic and schema-typed collections.
+The contract (DESIGN.md §9): for any query the production
+:class:`ColumnarCollection` returns the same documents in the same
+order as :class:`repro.reference.Collection`.  Every oracle operator is
+exercised on both, with and without indexes, on generic and
+schema-typed collections.
 """
 
 import pytest
 
-from repro.platform.store import _OPERATORS, Collection, ColumnarCollection, DocumentStore
+from repro.platform.store import ColumnarCollection, DocumentStore
+from repro.reference import _OPERATORS, Collection
 
-BACKENDS = ("dict", "columnar")
+#: Collection factories by name: the oracle and the production store.
+FACTORIES = {
+    "dict": Collection,
+    "columnar": lambda name: DocumentStore().collection(name),
+}
+each_factory = pytest.mark.parametrize(
+    "make", list(FACTORIES.values()), ids=list(FACTORIES)
+)
 
 DOCS = [
     {"name": "ana", "age": 30, "city": "lima"},
@@ -46,8 +56,8 @@ EXTRA_QUERIES = [
 ]
 
 
-def build(backend: str, docs=DOCS, index: str | None = None):
-    collection = DocumentStore(backend=backend).collection("people")
+def build(make, docs=DOCS, index: str | None = None):
+    collection = make("people")
     if index:
         collection.create_index(index)
     collection.insert_many([dict(doc) for doc in docs])
@@ -55,7 +65,9 @@ def build(backend: str, docs=DOCS, index: str | None = None):
 
 
 def pairs(index: str | None = None):
-    return build("dict", index=index), build("columnar", index=index)
+    return build(FACTORIES["dict"], index=index), build(
+        FACTORIES["columnar"], index=index
+    )
 
 
 def test_operator_queries_cover_the_language():
@@ -78,15 +90,15 @@ def test_plain_and_combined_queries_agree(query):
     assert dict_col.count(query) == columnar_col.count(query)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unknown_operator_raises(backend):
+@each_factory
+def test_unknown_operator_raises(make):
     with pytest.raises(ValueError, match="unknown query operator"):
-        build(backend).find({"age": {"$regex": ".*"}})
+        build(make).find({"age": {"$regex": ".*"}})
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_exists_distinguishes_none_from_missing(backend):
-    collection = build(backend)
+@each_factory
+def test_exists_distinguishes_none_from_missing(make):
+    collection = build(make)
     present = collection.find({"city": {"$exists": True}})
     # "ada" carries an explicit None -> exists; "sam" has no key at all.
     assert [d["name"] for d in present] == ["ana", "bob", "eve", "ada", "joe"]
@@ -94,9 +106,9 @@ def test_exists_distinguishes_none_from_missing(backend):
     assert [d["name"] for d in absent] == ["sam"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_missing_key_reads_as_none_for_other_operators(backend):
-    collection = build(backend)
+@each_factory
+def test_missing_key_reads_as_none_for_other_operators(make):
+    collection = build(make)
     # Equality against None matches both the explicit None and the
     # missing key (historical dict.get semantics).
     assert [d["name"] for d in collection.find({"city": None})] == ["sam", "ada"]
@@ -118,9 +130,9 @@ def test_indexed_and_unindexed_paths_agree(index):
         assert columnar_col.find(query) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_index_updated_after_inserts(backend):
-    collection = build(backend, index="city")
+@each_factory
+def test_index_updated_after_inserts(make):
+    collection = build(make, index="city")
     collection.insert({"name": "zoe", "age": 28, "city": "lima"})
     assert [d["name"] for d in collection.find({"city": "lima"})] == [
         "ana",
@@ -148,8 +160,8 @@ def test_typed_collection_sorted_index_agrees():
         }
         for i in range(12)
     ]
-    dict_col = DocumentStore(backend="dict").collection("installs")
-    columnar_col = DocumentStore(backend="columnar").collection("installs")
+    dict_col = Collection("installs")
+    columnar_col = DocumentStore().collection("installs")
     for collection in (dict_col, columnar_col):
         collection.create_index("install_id")
         collection.insert_many([dict(d) for d in docs])
@@ -167,7 +179,7 @@ def test_typed_collection_sorted_index_agrees():
 
 
 def test_columnar_degrades_to_generic_on_schema_mismatch():
-    columnar_col = DocumentStore(backend="columnar").collection("installs")
+    columnar_col = DocumentStore().collection("installs")
     columnar_col.create_index("install_id")
     conforming = {
         "install_id": "i0",
@@ -186,18 +198,14 @@ def test_columnar_degrades_to_generic_on_schema_mismatch():
 
 
 def test_find_views_are_live_mappings():
-    collection = DocumentStore(backend="columnar").collection("people")
+    collection = DocumentStore().collection("people")
     collection.insert_many([dict(d) for d in DOCS])
     views = collection.find_views({"city": "lima"})
     assert [dict(v) for v in views] == collection.find({"city": "lima"})
 
 
-def test_backend_knob_and_env(monkeypatch):
-    assert isinstance(DocumentStore(backend="dict")["c"], Collection)
-    assert isinstance(DocumentStore(backend="columnar")["c"], ColumnarCollection)
-    with pytest.raises(ValueError, match="unknown store backend"):
-        DocumentStore(backend="sqlite")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "dict")
-    assert isinstance(DocumentStore()["c"], Collection)
-    monkeypatch.delenv("REPRO_STORE_BACKEND")
-    assert isinstance(DocumentStore()["c"], ColumnarCollection)
+def test_document_store_builds_columnar_collections():
+    store = DocumentStore()
+    assert isinstance(store["c"], ColumnarCollection)
+    assert store["c"].frame.schema is None
+    assert store["fast_runs"].frame.schema is not None  # SCHEMA_BY_COLLECTION
