@@ -14,13 +14,8 @@ feature extraction — asserts that both return the same documents in the
 same order, the same observations and byte-identical feature matrices,
 and writes ``BENCH_data.json``.
 
-The ``sim`` suite times the two-phase simulation engine (DESIGN.md §12)
-at ``n_jobs = 1`` versus ``n_jobs = max`` in device-days/sec, asserts
-that the serial and sharded runs produce byte-identical study output
-(store contents, review corpus, rank series, device state), and writes
-``BENCH_sim.json``.  With a ``bench-baseline.json`` present the sim
-speedup is gated against its committed floor — skipped on runners with
-fewer than two cores, where a parallel speedup is not measurable.
+:func:`study_digest` hashes everything one simulated study produced
+(DESIGN.md §12); the chaos gate and the tests compare runs with it.
 
 ``--smoke`` shrinks the workloads to CI size; it is the regression gate
 that the executor and the columnar store still honour their determinism
@@ -53,7 +48,6 @@ __all__ = [
     "run_bench",
     "run_data_bench",
     "run_lint_bench",
-    "run_sim_bench",
     "make_bench_dataset",
     "study_digest",
 ]
@@ -656,7 +650,7 @@ def run_data_bench(
     return 1 if failures else 0
 
 
-# -- simulation suite (DESIGN.md §12) ----------------------------------------
+# -- study identity (DESIGN.md §12) -------------------------------------------
 
 
 def study_digest(data) -> str:
@@ -737,105 +731,3 @@ def study_digest(data) -> str:
                     ).encode()
                 )
     return h.hexdigest()
-
-
-def run_sim_bench(
-    seed: int = 0,
-    n_jobs: int | None = None,
-    smoke: bool = False,
-    out: str = "BENCH_sim.json",
-    baseline: str | None = None,
-) -> int:
-    """Benchmark the two-phase day engine, serial vs sharded.
-
-    Times ``run_study`` at ``n_jobs = 1`` versus ``n_jobs = max`` in
-    device-days/sec and asserts the identity contract: both runs must
-    produce the same :func:`study_digest`.  Returns non-zero on a digest
-    mismatch, or (with a baseline file on a multi-core runner) when the
-    measured speedup falls below the committed ``sim`` floor.
-    """
-    from .simulation.config import SimulationConfig
-    from .simulation.world import run_study
-
-    config = SimulationConfig.small() if smoke else SimulationConfig()
-    config = config.scaled(seed=config.seed + seed)
-    max_jobs = resolve_n_jobs(n_jobs if n_jobs is not None else 0)
-    failures: list[str] = []
-
-    serial_data, t_serial = _timed(run_study, config, 1)
-    sharded_data, t_sharded = _timed(run_study, config, max_jobs)
-
-    device_days = sum(p.active_days for p in serial_data.participants)
-    serial_digest = study_digest(serial_data)
-    sharded_digest = study_digest(sharded_data)
-    equal = serial_digest == sharded_digest
-    if not equal:
-        failures.append(
-            f"sim: sharded study output diverged from serial "
-            f"({sharded_digest[:16]} != {serial_digest[:16]})"
-        )
-
-    payload: dict = {
-        "machine": _machine_info(),
-        "smoke": smoke,
-        "seed": seed,
-        "n_jobs": max_jobs,
-        "participants": len(serial_data.participants),
-        "device_days": device_days,
-        "study_digest": serial_digest,
-        "serial_seconds": round(t_serial, 4),
-        "sharded_seconds": round(t_sharded, 4),
-        "device_days_per_sec_serial": round(device_days / t_serial, 2)
-        if t_serial > 0
-        else None,
-        "device_days_per_sec_sharded": round(device_days / t_sharded, 2)
-        if t_sharded > 0
-        else None,
-        "speedup": _speedup(t_serial, t_sharded),
-        "outputs_equal": equal,
-    }
-    print(
-        f"bench sim: {device_days} device-days: serial {t_serial:.3f}s "
-        f"({payload['device_days_per_sec_serial']}/s) -> n_jobs {max_jobs} "
-        f"{t_sharded:.3f}s ({payload['device_days_per_sec_sharded']}/s, "
-        f"{payload['speedup']}x, equal={equal})"
-    )
-
-    # Speedup-floor gate.  A single-core runner cannot demonstrate a
-    # parallel speedup, so the floor only applies when the fan-out had
-    # at least two cores to work with.
-    if baseline is None and smoke:
-        baseline = "bench-baseline.json"
-    cores = os.cpu_count() or 1
-    if baseline and os.path.exists(baseline) and cores >= 2 and max_jobs >= 2:
-        with open(baseline) as handle:
-            floors = json.load(handle).get("sim", {})
-        floor = floors.get("min_speedup")
-        if floor is not None:
-            ok = payload["speedup"] >= floor
-            payload["baseline"] = {
-                "path": baseline,
-                "min_speedup": floor,
-                "ok": ok,
-            }
-            if not ok:
-                failures.append(
-                    f"baseline[sim]: speedup {payload['speedup']} below "
-                    f"floor {floor}"
-                )
-            print(f"  baseline gate ({baseline}): {'ok' if ok else 'FAIL'}")
-    elif baseline:
-        reason = (
-            f"{baseline} not found"
-            if not os.path.exists(baseline)
-            else f"needs >= 2 cores (have {cores}, n_jobs {max_jobs})"
-        )
-        print(f"  baseline gate skipped: {reason}")
-
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"wrote {out}")
-
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
-    return 1 if failures else 0

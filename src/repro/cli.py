@@ -16,13 +16,12 @@ Commands
                 vs parallel -> BENCH_ml.json), ``data`` (production data
                 plane vs the reference oracle -> BENCH_data.json), ``lint``
                 (serial vs parallel statan analysis -> BENCH_lint.json),
-                ``sim`` (serial vs sharded day phases ->
-                BENCH_sim.json), or ``all``
+                or ``all``
 ``chaos``       fault-injection gate: run the same seeded study under a
                 clean plan and escalating fault plans (loss, corruption,
                 ack loss, receive crashes, store rejections, overload)
-                and assert the study digest is byte-identical at every
-                worker count; ``--smoke`` for the CI-sized cohort
+                and assert the study digest is byte-identical under
+                every plan; ``--smoke`` for the CI-sized cohort
 ``lint``        run the repro.statan static analyzer (per-file and
                 whole-program determinism/invariants rules) over the
                 source tree; ``--n-jobs``/``--changed`` scale and scope
@@ -31,10 +30,10 @@ Commands
 ``simulate``/``report``/``train``/``profile`` accept ``--metrics-out
 FILE`` to enable the metrics registry and archive its JSON export.
 The global ``--n-jobs N`` flag (default: the ``REPRO_N_JOBS``
-environment variable, else serial) fans simulation day phases, CV
-folds, forest trees, and experiment cells out across N worker
-processes; outputs are bit-identical at any worker count (DESIGN.md
-§8, §12).
+environment variable, else serial) fans CV folds, forest trees,
+experiment cells and lint files out across N worker processes; outputs
+are bit-identical at any worker count (DESIGN.md §8).  The simulation
+always runs in-process (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -124,12 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="speedup/determinism benchmarks; writes BENCH_<suite>.json",
     )
     bench.add_argument(
-        "suite", nargs="?", choices=("ml", "data", "lint", "sim", "all"),
+        "suite", nargs="?", choices=("ml", "data", "lint", "all"),
         default="ml",
         help="ml: serial-vs-parallel ML workloads; data: production "
         "data plane vs the reference oracle; lint: serial-vs-parallel statan "
-        "analysis; sim: serial-vs-sharded simulation day phases; "
-        "all: every suite (default: ml)",
+        "analysis; all: every suite (default: ml)",
     )
     bench.add_argument(
         "--smoke", action="store_true",
@@ -142,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--baseline", default=None,
-        help="data/sim suites: speedup-floor file for the regression "
+        help="data suite: speedup-floor file for the regression "
         "gate (default: bench-baseline.json when --smoke; skipped if "
         "missing)",
     )
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    data = run_study(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
+    data = run_study(_config_for(args.scale, args.seed))
     eligible = data.eligible_participants(min_days=2)
     workers = [p for p in eligible if p.is_worker]
     print(
@@ -258,7 +256,7 @@ def _cmd_classify(args) -> int:
     device_model = import_detector(json.dumps(payload["device"]))
     detector = OnDeviceDetector(app_model, device_model)
 
-    data = run_study(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
+    data = run_study(_config_for(args.scale, args.seed))
     observations = build_observations(data, data.eligible_participants(min_days=2))
     correct = 0
     flagged = 0
@@ -274,7 +272,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    data = run_study(_config_for(args.scale, args.seed), n_jobs=args.n_jobs)
+    data = run_study(_config_for(args.scale, args.seed))
     dashboard = Dashboard(data.server)
     overview = dashboard.overview()
     print(render_table(["metric", "value"], sorted(overview.items())))
@@ -354,7 +352,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .benchmark import run_bench, run_data_bench, run_lint_bench, run_sim_bench
+    from .benchmark import run_bench, run_data_bench, run_lint_bench
 
     seed = args.seed if args.seed is not None else 0
     if args.suite == "all" and args.out is not None:
@@ -381,14 +379,6 @@ def _cmd_bench(args) -> int:
             smoke=args.smoke,
             out=args.out or "BENCH_lint.json",
         )
-    if args.suite in ("sim", "all"):
-        code |= run_sim_bench(
-            seed=seed,
-            n_jobs=args.n_jobs,
-            smoke=args.smoke,
-            out=args.out or "BENCH_sim.json",
-            baseline=args.baseline,
-        )
     return code
 
 
@@ -398,7 +388,6 @@ def _cmd_chaos(args) -> int:
     return run_chaos(
         _config_for(args.scale, args.seed),
         smoke=args.smoke,
-        n_jobs=args.n_jobs,
         out=args.out,
     )
 

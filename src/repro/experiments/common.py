@@ -37,10 +37,10 @@ class ExperimentReport:
 class Workbench:
     """Lazily computed study + pipeline shared across experiments.
 
-    ``n_jobs`` is forwarded to the simulation's day phases and to the
-    default pipeline's CV / forest fits (the pipeline part is ignored
-    when an explicit ``pipeline`` is supplied); outputs are
-    bit-identical at any worker count.
+    ``n_jobs`` is forwarded to the default pipeline's CV / forest fits
+    (ignored when an explicit ``pipeline`` is supplied); outputs are
+    bit-identical at any worker count.  The simulation always runs
+    in-process.
     """
 
     def __init__(
@@ -50,12 +50,11 @@ class Workbench:
         n_jobs: int | None = None,
     ) -> None:
         self.config = config or SimulationConfig()
-        self._n_jobs = n_jobs
         self._pipeline = pipeline or DetectionPipeline(n_splits=10, n_jobs=n_jobs)
 
     @cached_property
     def data(self) -> StudyData:
-        return run_study(self.config, n_jobs=self._n_jobs)
+        return run_study(self.config)
 
     @cached_property
     def observations(self) -> list[DeviceObservation]:

@@ -3,12 +3,11 @@
 ``python -m repro chaos`` runs the same seeded study once per fault
 plan — a clean plan first, then escalating plans that mix transport
 loss, chunk corruption, ack loss after durable store, receive crashes
-mid-chunk, store write rejections and overload windows — at one worker
-and (when cores allow) several.  Every run must produce:
+mid-chunk, store write rejections and overload windows.  Every run must
+produce:
 
 * a ``study_digest`` byte-identical to the clean reference run — the
-  dataset the analyses see is invariant under any fault plan at any
-  worker count;
+  dataset the analyses see is invariant under any fault plan;
 * the same ``records_inserted`` total — no record is ever dropped or
   double-ingested;
 * empty terminal queues — no pending chunks, no dead letters, no
@@ -23,7 +22,6 @@ gate fails (CI uploads it either way).
 from __future__ import annotations
 
 import json
-import os
 
 from .plan import FaultPlan, FaultSpec
 
@@ -89,18 +87,17 @@ def _smoke_config(config):
     )
 
 
-def _run_entry(plan_name: str, plan: FaultPlan, config, n_jobs: int) -> dict:
+def _run_entry(plan_name: str, plan: FaultPlan, config) -> dict:
     """One seeded study under one plan; returns the digest + counters."""
     from ..benchmark import study_digest
     from ..simulation import run_study
 
-    data = run_study(config.scaled(fault_plan=plan), n_jobs=n_jobs)
+    data = run_study(config.scaled(fault_plan=plan))
     stats = data.server.stats
     buffers = [p.app.buffer for p in data.participants]
     return {
         "plan": plan_name,
         "plan_spec": plan.describe(),
-        "n_jobs": n_jobs,
         "digest": study_digest(data),
         "records_inserted": stats.records_inserted,
         "chunks_received": stats.chunks_received,
@@ -149,28 +146,20 @@ def run_chaos(
     config=None,
     *,
     smoke: bool = False,
-    n_jobs: int | None = None,
     out: str = "CHAOS.json",
 ) -> int:
     """Run the plan ladder and enforce the exactly-once contract.
 
-    Every (plan, n_jobs) combination must reproduce the clean reference
-    run's ``study_digest`` and ``records_inserted`` and close with empty
+    Every plan's run must reproduce the clean reference run's
+    ``study_digest`` and ``records_inserted`` and close with empty
     queues.  Writes a JSON report to ``out`` (also on failure) and
     returns a process exit code.
     """
-    from ..parallel import resolve_n_jobs
     from ..simulation import SimulationConfig
 
     base = config if config is not None else SimulationConfig.small()
     if smoke:
         base = _smoke_config(base)
-
-    if n_jobs is not None:
-        workers = resolve_n_jobs(n_jobs)
-    else:
-        workers = min(2, os.cpu_count() or 1)
-    jobs_list = [1] if workers <= 1 else [1, workers]
 
     entries: list[dict] = []
     failures: list[str] = []
@@ -178,33 +167,30 @@ def run_chaos(
     interrupted: str | None = None
     try:
         for plan_name, plan in escalating_plans():
-            for jobs in jobs_list:
-                entry = _run_entry(plan_name, plan, base, jobs)
-                is_reference = reference is None
-                if is_reference:
-                    reference = entry
-                problems = _check_entry(entry, None if is_reference else reference)
-                entry["failures"] = problems
-                entries.append(entry)
-                failures.extend(
-                    f"[{plan_name} n_jobs={jobs}] {problem}" for problem in problems
-                )
-                status = "FAIL" if problems else "ok"
-                fault_note = ", ".join(
-                    f"{site}={count}"
-                    for site, count in sorted(entry["fault_counts"].items())
-                    if count
-                )
-                print(
-                    f"[{status:4s}] plan={plan_name:<12s} n_jobs={jobs} "
-                    f"digest={entry['digest'][:16]} "
-                    f"records={entry['records_inserted']} "
-                    f"dup={entry['duplicate_chunks']} "
-                    f"rollbacks={entry['chunk_rollbacks']} "
-                    f"retx={entry['retransmissions']} "
-                    f"redelivered={entry['redelivered_chunks']}"
-                    + (f" faults[{fault_note}]" if fault_note else "")
-                )
+            entry = _run_entry(plan_name, plan, base)
+            is_reference = reference is None
+            if is_reference:
+                reference = entry
+            problems = _check_entry(entry, None if is_reference else reference)
+            entry["failures"] = problems
+            entries.append(entry)
+            failures.extend(f"[{plan_name}] {problem}" for problem in problems)
+            status = "FAIL" if problems else "ok"
+            fault_note = ", ".join(
+                f"{site}={count}"
+                for site, count in sorted(entry["fault_counts"].items())
+                if count
+            )
+            print(
+                f"[{status:4s}] plan={plan_name:<12s} "
+                f"digest={entry['digest'][:16]} "
+                f"records={entry['records_inserted']} "
+                f"dup={entry['duplicate_chunks']} "
+                f"rollbacks={entry['chunk_rollbacks']} "
+                f"retx={entry['retransmissions']} "
+                f"redelivered={entry['redelivered_chunks']}"
+                + (f" faults[{fault_note}]" if fault_note else "")
+            )
     except BaseException as exc:  # artifact survives a crashed/killed run
         interrupted = f"{type(exc).__name__}: {exc}"
         raise
@@ -214,7 +200,6 @@ def run_chaos(
             "seed": base.seed,
             "study_days": base.study_days,
             "devices": base.total_devices,
-            "jobs_list": jobs_list,
             "runs": entries,
             "failures": failures,
             "passed": not failures and interrupted is None,
@@ -232,6 +217,6 @@ def run_chaos(
         return 1
     print(
         f"chaos: ok — {len(entries)} runs, every fault plan reproduced the "
-        f"clean digest {reference['digest'][:16]}... at n_jobs {jobs_list}"
+        f"clean digest {reference['digest'][:16]}..."
     )
     return 0

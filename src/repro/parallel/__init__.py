@@ -15,6 +15,10 @@ Everything is dependency-free (``concurrent.futures`` +
 environments where process pools cannot start fall back to serial
 execution with identical results.  See DESIGN.md §8 for the
 determinism-under-parallelism contract.
+
+The simulation's day phases do not fan out: on two cores the process
+pool lost to the in-process loop, so :func:`repro.simulation.run_study`
+always runs serially (DESIGN.md §12).
 """
 
 from .executor import (

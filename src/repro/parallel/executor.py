@@ -80,10 +80,11 @@ class ProcessExecutor:
     """``concurrent.futures`` process pool with index-ordered collection.
 
     Results come back in submission order regardless of completion
-    order.  If the pool cannot start or breaks before completing (fork
-    unavailable, sandbox restrictions), the full task list is re-run
-    serially — jobs are pure functions of their pre-drawn seeds, so the
-    fallback returns the same values.
+    order.  If the pool cannot start (fork unavailable, sandbox
+    restrictions) or breaks before completing, the full task list is
+    re-run serially — jobs are pure functions of their pre-drawn seeds,
+    so the fallback returns the same values.  An exception raised *by a
+    job* is not a pool failure: it reaches the caller unchanged.
     """
 
     def __init__(self, n_jobs: int, mp_context=None) -> None:
@@ -105,18 +106,32 @@ class ProcessExecutor:
         tasks = list(tasks)
         if not tasks:
             return []
+        pool = None
         try:
-            with ProcessPoolExecutor(
+            # Workers start on construction or first submit; failing
+            # here means no pool can run at all.
+            pool = ProcessPoolExecutor(
                 max_workers=min(self.n_jobs, len(tasks)),
                 mp_context=self._context(),
-            ) as pool:
-                futures = [pool.submit(fn, *args) for args in tasks]
-                return [future.result() for future in futures]
-        except (BrokenProcessPool, OSError, PermissionError):
-            obs.get_logger("parallel").warning(
-                "process_pool_unavailable", fallback="serial", tasks=len(tasks)
             )
-            return SerialExecutor().map(fn, tasks)
+            futures = [pool.submit(fn, *args) for args in tasks]
+        except (BrokenProcessPool, OSError):
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            return self._serial_fallback(fn, tasks)
+        with pool:
+            try:
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                pass  # a worker died; every other exception is the job's
+        return self._serial_fallback(fn, tasks)
+
+    @staticmethod
+    def _serial_fallback(fn: Callable[..., Any], tasks: list[tuple]) -> list[Any]:
+        obs.get_logger("parallel").warning(
+            "process_pool_unavailable", fallback="serial", tasks=len(tasks)
+        )
+        return SerialExecutor().map(fn, tasks)
 
 
 def get_executor(n_jobs: int | None = None) -> SerialExecutor | ProcessExecutor:

@@ -52,13 +52,13 @@ class _Permissions:
 
 @dataclass(slots=True)
 class AppState:
-    """Picklable install state (everything but the device reference).
+    """Install state handed to a phase-1 device-day (no device reference).
 
-    The phase-split day engine (DESIGN.md §12) ships this to shard
-    workers instead of the app object itself: it carries no server,
-    transport, or Generator — those are injected per call — so the
-    payload satisfies the PAR001/PAR002 shipping rules.  The buffer
-    travels because undelivered chunks are retried on later days.
+    The phase-split day engine (DESIGN.md §12) passes this to each
+    device-day instead of the app object itself: it carries no server,
+    transport, or Generator — those are injected per call — so a day is
+    a pure function of its task payload and seed.  The buffer carries
+    over because undelivered chunks are retried on later days.
     """
 
     participant_id: str

@@ -83,7 +83,7 @@ class BehaviorEngine:
         #: Per-device review mirror: google_id -> packages reviewed.
         #: Google accounts are device-owned, so the Play "one live
         #: review per (account, app)" dedup check is device-local and
-        #: can run inside a phase-1 shard without the global store.
+        #: can run in phase 1 without the global store.
         self._reviewed: dict[str, dict[str, set[str]]] = {}
 
     # -- static pools (read by the phase-split day engine) ---------------

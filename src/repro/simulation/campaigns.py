@@ -82,9 +82,9 @@ class FrozenCampaign:
 class FrozenBoard:
     """Immutable start-of-day view of the whole board, id-ordered.
 
-    Shipped to every phase-1 shard so job selection reads the same
-    state regardless of which worker (or how many workers) runs the
-    device — the frozen-view half of the determinism contract.
+    Every phase-1 device-day of one study day reads this same snapshot,
+    so job selection never depends on which devices ran before it that
+    day — the frozen-view half of the determinism contract.
     """
 
     campaigns: tuple[FrozenCampaign, ...]

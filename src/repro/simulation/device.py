@@ -181,13 +181,13 @@ class SimDevice:
 
     # -- day views (phase-split engine, DESIGN.md §12) ----------------------
     def day_view(self, day_start: float) -> "SimDevice":
-        """Start-of-day snapshot shipped to a phase-1 shard worker.
+        """Start-of-day snapshot one phase-1 device-day runs against.
 
-        The view shares the mutable install table and account list (the
-        shard's pickle round-trip copies them; the serial path mutates
-        them in place — :meth:`absorb_day` converges both) but carries
-        *empty* event/session/uninstall logs, so the worker payload and
-        the returned deltas stay O(one day) instead of O(history).
+        The view shares the mutable install table and account list,
+        which the day mutates in place, but carries *empty*
+        event/session/uninstall logs: the day's deltas stay O(one day)
+        instead of O(history), and snapshot collection sees only that
+        day's events.  :meth:`absorb_day` folds the deltas back.
         """
         view = object.__new__(SimDevice)
         view.device_id = self.device_id

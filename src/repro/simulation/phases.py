@@ -10,11 +10,11 @@ day into:
   (b) its RacketStore uploads, and (c) an :class:`ActionLog` of
   intended global effects — review posts, campaign deliveries, install
   registrations and chunk uploads — instead of mutating ``playstore``
-  or ``platform`` objects directly.  Phase 1 is a pure function of the
-  task payload and one pre-drawn integer seed, so it fans out over
-  device shards via :mod:`repro.parallel` with byte-identical results
-  at any worker count (DESIGN.md §8 and §12).
-* **Phase 2 (global commit)** — the parent applies every shard's
+  or ``platform`` objects directly.  Each device-day is a pure function
+  of its task payload and one pre-drawn integer seed
+  (:func:`run_device_day`); the world driver runs them in-process, in
+  participant order (DESIGN.md §12).
+* **Phase 2 (global commit)** — the world driver applies every device's
   action log in deterministic sorted order ``(device_id, seq)``, then
   rank tracking advances and the review crawler runs its rounds.
 
@@ -64,7 +64,7 @@ __all__ = [
     "DeviceDayResult",
     "DeviceDayRunner",
     "build_day_params",
-    "run_day_shard",
+    "run_device_day",
     "commit_day",
 ]
 
@@ -252,7 +252,7 @@ class ShardBoardView:
 
 @dataclass(frozen=True)
 class DayParams:
-    """Study-static inputs every device-day needs (shipped per shard)."""
+    """Study-static inputs every device-day needs (built once per study)."""
 
     popular: tuple[App, ...]
     popular_weights: np.ndarray
@@ -266,7 +266,7 @@ class DayParams:
 
 
 def build_day_params(engine) -> DayParams:
-    """Snapshot the behaviour engine's static pools for phase-1 workers."""
+    """Snapshot the behaviour engine's static pools for phase 1."""
     config = engine.config
     return DayParams(
         popular=tuple(engine.popular_apps()),
@@ -559,37 +559,23 @@ class DeviceDayRunner:
 
 
 # ---------------------------------------------------------------------------
-# The shard worker (module-level and picklable — PAR001) whose only
-# randomness comes from the pre-drawn integer seeds (PAR002).
+# One device-day, whose only randomness comes from its pre-drawn seed.
 # ---------------------------------------------------------------------------
 
-def run_day_shard(
-    day_start: float,
-    tasks: tuple[DeviceDayTask, ...],
-    seeds: tuple[int, ...],
-    board: FrozenBoard,
-    params: DayParams,
-) -> tuple[DeviceDayResult, ...]:
-    """Run phase 1 for one shard of device-days.
-
-    One ``default_rng(seed)`` per device-day drives, in order: the
-    sign-in install-ID mint, behaviour sampling, snapshot coverage
-    windows, and transport loss — the whole day is a pure function of
-    ``(task, seed, board, params)``.
-    """
-    results = []
-    for task, seed in zip(tasks, seeds):
-        results.append(_run_device_day(float(day_start), task, int(seed), board, params))
-    return tuple(results)
-
-
-def _run_device_day(
+def run_device_day(
     day_start: float,
     task: DeviceDayTask,
     seed: int,
     board: FrozenBoard,
     params: DayParams,
 ) -> DeviceDayResult:
+    """Run phase 1 for one device-day.
+
+    One ``default_rng(seed)`` drives, in order: the sign-in install-ID
+    mint, behaviour sampling, snapshot coverage windows, and transport
+    loss — the whole day is a pure function of ``(task, seed, board,
+    params)``.
+    """
     rng = np.random.default_rng(seed)
     log = ActionLog()
     uplink = RecordingUplink(log)

@@ -8,12 +8,10 @@ RacketStore install reporting snapshots to the backend — and returns a
 :class:`StudyData` handle exposing everything the §6-§8 analyses need.
 
 Each study day runs through the two-phase engine (DESIGN.md §12):
-phase 1 simulates every active device against frozen start-of-day
-state — fanned out over device shards via :mod:`repro.parallel` when
-``n_jobs`` (or ``$REPRO_N_JOBS``) asks for workers — and phase 2
+phase 1 simulates every active device in-process against frozen
+start-of-day state, one pre-drawn seed per device-day, and phase 2
 commits the devices' action logs in deterministic ``(device_id, seq)``
-order, advances rank tracking, and runs the crawler rounds.  The
-resulting :class:`StudyData` is byte-identical at any worker count.
+order, advances rank tracking, and runs the crawler rounds.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 from .. import obs
 from ..faults.plan import FAULT_STREAM_SERVER
 from ..faults.server import FaultableServer
-from ..parallel import draw_seeds, parallel_map, resolve_n_jobs
+from ..parallel import draw_seeds, parallel_map
 from ..platform.mobile_app import RacketStoreApp
 from ..platform.server import RacketStoreServer
 from ..platform.store import DocumentStore
@@ -43,7 +41,7 @@ from .clock import SECONDS_PER_DAY
 from .config import SimulationConfig
 from .device import SimDevice
 from .personas import Persona, dedicated_worker, organic_worker, regular_user
-from .phases import DeviceDayTask, build_day_params, commit_day, run_day_shard
+from .phases import DeviceDayTask, build_day_params, commit_day, run_device_day
 from .recruitment import sample_country
 
 __all__ = ["Participant", "StudyData", "build_world", "run_study"]
@@ -160,8 +158,8 @@ def build_world(config: SimulationConfig | None = None) -> tuple[StudyData, Beha
     if config.fault_plan is not None:
         # Server-side fault draws come from a dedicated per-study stream
         # (never the world rng), consumed in deterministic phase-2
-        # commit order — so injections are identical at any n_jobs and
-        # the world realization matches the clean run byte for byte.
+        # commit order — so the world realization matches the clean run
+        # byte for byte.
         server: RacketStoreServer = FaultableServer(
             DocumentStore(),
             review_crawler=review_crawler,
@@ -254,14 +252,13 @@ def run_study(
 ) -> StudyData:
     """Build the world, enroll the cohort, simulate every study day.
 
-    ``n_jobs`` fans the device-local phase of each day out over worker
-    processes (``None`` defers to ``$REPRO_N_JOBS``, ``<= 0`` means all
-    cores); the returned :class:`StudyData` is byte-identical at any
-    worker count.
+    ``n_jobs`` is accepted and ignored: the day phases always run
+    in-process (DESIGN.md §12).  The keyword stays because the
+    ``perfbench/`` harness still passes it.
     """
     config = config or SimulationConfig()
     with obs.trace("simulate"):
-        data = _run_study_traced(config, n_jobs)
+        data = _run_study_traced(config)
     # The load is complete: run the tuple-mover so analytical reads
     # start from settled, read-optimized columns.
     data.server.store.compact()
@@ -274,9 +271,7 @@ def run_study(
     return data
 
 
-def _run_study_traced(
-    config: SimulationConfig, n_jobs: int | None = None
-) -> StudyData:
+def _run_study_traced(config: SimulationConfig) -> StudyData:
     with obs.trace("simulate.build_world"):
         data, engine, factory, rng = build_world(config)
 
@@ -291,7 +286,6 @@ def _run_study_traced(
         data.rank_tracker.track(package, keyword)
 
     params = build_day_params(engine)
-    resolved_jobs = resolve_n_jobs(n_jobs)
 
     # Metric handles resolved once, outside the day loop: re-resolving
     # with help= on every device-day was measurable registry overhead.
@@ -345,8 +339,16 @@ def _run_study_traced(
                     )
                     for index, participant in active
                 ]
-                results = _fan_out_day(
-                    day_start, tasks, seeds, data.board.freeze(), params, resolved_jobs
+                frozen_board = data.board.freeze()
+                # Serial: faster than a process pool, as measured (§12);
+                # perfbench/layers.py times world.parallel_map as phase 1.
+                results = parallel_map(
+                    run_device_day,
+                    [
+                        (day_start, task, seed, frozen_board, params)
+                        for task, seed in zip(tasks, seeds)
+                    ],
+                    n_jobs=1,
                 )
 
                 # Fold device-local deltas back (submission order).
@@ -384,42 +386,6 @@ def _run_study_traced(
                 days_counter.inc()
 
     return data
-
-
-def _fan_out_day(
-    day_start: float,
-    tasks: list[DeviceDayTask],
-    seeds: list[int],
-    frozen_board,
-    params,
-    n_jobs: int,
-) -> list:
-    """Run phase 1 over contiguous device shards; order-stable results.
-
-    Shard boundaries cannot affect the outcome — each device-day is a
-    pure function of its (task, seed, frozen board, params) — so the
-    flattened submission-order list is identical at any worker count.
-    """
-    if not tasks:
-        return []
-    n_shards = max(1, min(n_jobs, len(tasks)))
-    base, extra = divmod(len(tasks), n_shards)
-    shard_args = []
-    start = 0
-    for shard in range(n_shards):
-        size = base + (1 if shard < extra else 0)
-        shard_args.append(
-            (
-                day_start,
-                tuple(tasks[start : start + size]),
-                tuple(seeds[start : start + size]),
-                frozen_board,
-                params,
-            )
-        )
-        start += size
-    shards = parallel_map(run_day_shard, shard_args, n_jobs=n_jobs)
-    return [result for shard in shards for result in shard]
 
 
 def _promo_boosts(board: CampaignBoard) -> dict[str, tuple[int, int]]:

@@ -42,6 +42,12 @@ def report_worker_state(_index):
     return in_worker()
 
 
+def open_missing_file(index):
+    if index == 1:
+        open("/nonexistent/repro-test-input")
+    return index
+
+
 class TestResolveNJobs:
     def test_explicit_value_wins(self):
         assert resolve_n_jobs(3) == 3
@@ -127,6 +133,21 @@ class TestExecutors:
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", ExplodingPool)
         result = ProcessExecutor(2).map(square, [(i,) for i in range(4)])
         assert result == [0, 1, 4, 9]
+
+    def test_job_oserror_propagates_without_serial_rerun(self, monkeypatch):
+        # A job's own OSError is not a pool failure: no task may run a
+        # second time in the parent.
+        serial_calls = []
+        serial_map = SerialExecutor.map
+
+        def spy(self, fn, tasks):
+            serial_calls.append(fn)
+            return serial_map(self, fn, tasks)
+
+        monkeypatch.setattr(SerialExecutor, "map", spy)
+        with pytest.raises(FileNotFoundError):
+            ProcessExecutor(2).map(open_missing_file, [(i,) for i in range(3)])
+        assert serial_calls == []
 
     def test_parallel_map_matches_serial(self):
         tasks = [(seed,) for seed in spawn_seeds(123, 9)]

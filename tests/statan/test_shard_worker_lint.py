@@ -1,10 +1,11 @@
-"""PAR001/PAR002 gates on the phase-1 shard worker.
+"""PAR001/PAR002 gates on the phase-1 device-day worker.
 
-The two-phase engine's fan-out (``world._fan_out_day`` submitting
-``phases.run_day_shard``) must satisfy the parallel-capture rules: a
-module-level picklable worker, no captured Generators, randomness only
-via the pre-drawn ``seeds`` parameter.  The broken fixtures rebuild the
-shard worker the tempting-but-wrong ways and must fire.
+The world driver submits ``phases.run_device_day`` through
+``parallel_map`` (serially, ``n_jobs=1``), so it must satisfy the
+parallel-capture rules: a module-level picklable worker, no captured
+Generators, randomness only via the pre-drawn ``seed`` parameter.  The
+broken fixtures build a synthetic shard worker the tempting-but-wrong
+ways and must fire: they test the rules, not the engine.
 """
 
 from pathlib import Path
