@@ -25,6 +25,7 @@ from .models import (
     SlowSnapshotRun,
     record_from_dict,
     record_to_dict,
+    validate_record,
 )
 from .server import IngestStats, PaymentLedger, RacketStoreServer
 from .store import ColumnarCollection, DocumentStore
@@ -57,6 +58,7 @@ __all__ = [
     "SlowSnapshotRun",
     "record_from_dict",
     "record_to_dict",
+    "validate_record",
     "IngestStats",
     "PaymentLedger",
     "RacketStoreServer",

@@ -38,6 +38,11 @@ BACKOFF_CAP_S = 3600.0
 _BACKOFF_BUCKETS = (60.0, 120.0, 240.0, 480.0, 960.0, 1920.0, 3600.0, 5400.0)
 
 
+#: One compact encoder for every record line (``json.dumps`` with
+#: non-default separators would build a fresh encoder per call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def chunk_hash(data: bytes) -> str:
     """The transfer-validation hash (SHA-256 hex digest)."""
     return hashlib.sha256(data).hexdigest()
@@ -95,7 +100,7 @@ class DataBuffer:
         """Serialise one snapshot record into the ``kind`` accumulation file."""
         if kind not in self._accumulating:
             raise ValueError(f"unknown buffer kind {kind!r}")
-        line = json.dumps(record_to_dict(record), separators=(",", ":"))
+        line = _ENCODER.encode(record_to_dict(record))
         self._accumulating[kind].append(line)
         self._accumulated_bytes[kind] += len(line) + 1
         self.records_buffered += 1
@@ -108,8 +113,12 @@ class DataBuffer:
         if not lines:
             return
         raw = ("\n".join(lines) + "\n").encode()
+        # mtime=0: the gzip header must not stamp the wall clock, or the
+        # same records would seal to different bytes (and acks) per run.
         self._pending.append(
-            BufferedChunk(kind=kind, data=gzip.compress(raw), n_records=len(lines))
+            BufferedChunk(
+                kind=kind, data=gzip.compress(raw, mtime=0), n_records=len(lines)
+            )
         )
         self._accumulating[kind] = []
         self._accumulated_bytes[kind] = 0

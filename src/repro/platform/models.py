@@ -15,7 +15,7 @@ Table 3's PII inventory is reproduced as :data:`PII_REGISTRY`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "PII_REGISTRY",
     "record_to_dict",
     "record_from_dict",
+    "validate_record",
 ]
 
 
@@ -159,32 +160,103 @@ _RECORD_TYPES = {
 }
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 
+#: Wire field names per record class, in dataclass field order (the key
+#: order of every JSON line).
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (*_RECORD_TYPES.values(), InstalledAppInfo)
+}
+
+#: Per wire type: (required keys, allowed keys), both with the tag.
+_KEY_SETS = {
+    name: (
+        frozenset(f.name for f in fields(cls) if f.default is MISSING) | {"_type"},
+        frozenset(_FIELD_NAMES[cls]) | {"_type"},
+    )
+    for name, cls in _RECORD_TYPES.items()
+}
+_APP_KEYS = frozenset(_FIELD_NAMES[InstalledAppInfo])
+_ACTIONS = ("install", "uninstall")
+_ARRAY = (list, tuple)
+
 
 def record_to_dict(record: Any) -> dict:
-    """Serialise a snapshot record to a JSON-compatible dict with a type tag."""
+    """Serialise a snapshot record to a JSON-compatible dict with a type tag.
+
+    Keys follow the dataclass field order with ``_type`` last.  Values
+    are the record's own (immutable) attributes, not copies: the dict
+    only ever goes to the JSON encoder.
+    """
     cls = type(record)
-    if cls not in _TYPE_NAMES:
+    type_name = _TYPE_NAMES.get(cls)
+    if type_name is None:
         raise TypeError(f"not a snapshot record: {cls.__name__}")
-    payload = asdict(record)
+    payload = {name: getattr(record, name) for name in _FIELD_NAMES[cls]}
     if cls is InitialSnapshot:
-        payload["installed_apps"] = [asdict(a) if not isinstance(a, dict) else a
-                                     for a in record.installed_apps]
-    payload["_type"] = _TYPE_NAMES[cls]
+        app_fields = _FIELD_NAMES[InstalledAppInfo]
+        payload["installed_apps"] = [
+            a if isinstance(a, dict) else {name: getattr(a, name) for name in app_fields}
+            for a in record.installed_apps
+        ]
+    payload["_type"] = type_name
     return payload
 
 
-def record_from_dict(payload: dict) -> Any:
-    """Inverse of :func:`record_to_dict`."""
-    payload = dict(payload)
-    type_name = payload.pop("_type", None)
-    if type_name not in _RECORD_TYPES:
+def validate_record(payload: Any) -> str:
+    """Check one decoded wire record and return its type tag.
+
+    The single acceptance rule of the ingest path: a JSON object whose
+    key set holds every required and only allowed fields of its type,
+    an app-change action of ``install``/``uninstall``, ``accounts`` an
+    array of arrays, ``stopped_apps`` an array, and ``installed_apps``
+    an array of objects with exactly the :class:`InstalledAppInfo`
+    fields.  Raises :class:`ValueError` otherwise.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"record is a {type(payload).__name__}, not an object")
+    type_name = payload.get("_type")
+    key_sets = _KEY_SETS.get(type_name) if isinstance(type_name, str) else None
+    if key_sets is None:
         raise ValueError(f"unknown record type {type_name!r}")
-    cls = _RECORD_TYPES[type_name]
-    if cls is InitialSnapshot:
-        payload["installed_apps"] = tuple(
-            InstalledAppInfo(**a) for a in payload["installed_apps"]
+    required, allowed = key_sets
+    keys = payload.keys()
+    if not (keys >= required and keys <= allowed):
+        raise ValueError(
+            f"{type_name} record: missing {sorted(required - keys)}, "
+            f"unexpected {sorted(keys - allowed)}"
         )
-    if cls is SlowSnapshotRun:
-        payload["accounts"] = tuple(tuple(pair) for pair in payload["accounts"])
-        payload["stopped_apps"] = tuple(payload["stopped_apps"])
-    return cls(**payload)
+    if type_name == "app_change":
+        if payload["action"] not in _ACTIONS:
+            raise ValueError(f"unknown app-change action {payload['action']!r}")
+    elif type_name == "slow_run":
+        accounts = payload["accounts"]
+        if not (
+            isinstance(accounts, _ARRAY)
+            and all(isinstance(pair, _ARRAY) for pair in accounts)
+            and isinstance(payload["stopped_apps"], _ARRAY)
+        ):
+            raise ValueError("slow_run accounts/stopped_apps are not arrays")
+    elif type_name == "initial":
+        apps = payload["installed_apps"]
+        if not (
+            isinstance(apps, _ARRAY)
+            and all(isinstance(a, dict) and a.keys() == _APP_KEYS for a in apps)
+        ):
+            raise ValueError("initial installed_apps entry has the wrong fields")
+    return type_name
+
+
+def record_from_dict(payload: dict) -> Any:
+    """Inverse of :func:`record_to_dict`: :func:`validate_record`, then
+    construction."""
+    type_name = validate_record(payload)
+    cls = _RECORD_TYPES[type_name]
+    kwargs = {key: value for key, value in payload.items() if key != "_type"}
+    if cls is InitialSnapshot:
+        kwargs["installed_apps"] = tuple(
+            InstalledAppInfo(**a) for a in kwargs["installed_apps"]
+        )
+    elif cls is SlowSnapshotRun:
+        kwargs["accounts"] = tuple(tuple(pair) for pair in kwargs["accounts"])
+        kwargs["stopped_apps"] = tuple(kwargs["stopped_apps"])
+    return cls(**kwargs)

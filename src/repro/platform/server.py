@@ -20,7 +20,7 @@ from ..obs.metrics import MetricsRegistry
 from ..simulation.clock import SECONDS_PER_DAY
 from .buffer import chunk_hash
 from .fingerprint import DeviceCluster, InstallFingerprint, coalesce_installs
-from .models import record_from_dict
+from .models import validate_record
 from .store import DocumentStore
 
 __all__ = ["RacketStoreServer", "IngestStats", "PaymentLedger"]
@@ -238,12 +238,12 @@ class RacketStoreServer:
                     continue
                 try:
                     payload = json.loads(line)
-                    record_from_dict(payload)  # schema validation
-                except (ValueError, TypeError):
+                    type_name = validate_record(payload)
+                except ValueError:
                     self._c_malformed_records.inc()
                     obs.get_logger("ingest").warning("malformed_record", kind=kind)
                     continue
-                records.append((payload["_type"], payload))
+                records.append((type_name, payload))
             marks = [
                 (collection, collection.mark())
                 for collection in (

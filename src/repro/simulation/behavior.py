@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +29,28 @@ from .config import SimulationConfig
 from .device import SimDevice
 from .personas import Persona
 
-__all__ = ["BehaviorEngine", "PendingReview", "review_rating"]
+__all__ = ["BehaviorEngine", "PendingReview", "choice_cdf", "review_rating"]
+
+
+def choice_cdf(p) -> tuple[float, ...]:
+    """The CDF ``Generator.choice(n, p=p)`` searches, built the same way
+    (``cumsum``, then ``/= cdf[-1]``), so ``bisect_right(cdf,
+    rng.random())`` draws the same index from the same single double
+    without re-validating ``p`` on every call."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
+
+
+_PROMO_RATING_CDF = choice_cdf((0.2, 0.8))
+_ORGANIC_RATING_CDF = choice_cdf((0.07, 0.06, 0.12, 0.3, 0.45))
 
 
 def review_rating(rng: np.random.Generator, promo: bool) -> int:
     """Promo reviews are 4-5 stars; organic ratings span the scale."""
     if promo:
-        return int(rng.choice((4, 5), p=(0.2, 0.8)))
-    return int(rng.choice((1, 2, 3, 4, 5), p=(0.07, 0.06, 0.12, 0.3, 0.45)))
+        return 4 + bisect_right(_PROMO_RATING_CDF, rng.random())
+    return 1 + bisect_right(_ORGANIC_RATING_CDF, rng.random())
 
 
 @dataclass(order=True, slots=True)

@@ -30,6 +30,7 @@ more than the campaign bought).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ from ..platform.buffer import chunk_hash
 from ..platform.mobile_app import AppState, RacketStoreApp
 from ..platform.transport import LossyTransport
 from ..playstore.catalog import App
-from .behavior import PendingReview, review_rating
+from .behavior import PendingReview, choice_cdf, review_rating
 from .campaigns import CampaignBoard, FrozenBoard, PromoJob
 from .clock import SECONDS_PER_DAY, hours
 from .device import SimDevice
@@ -255,7 +256,8 @@ class DayParams:
     """Study-static inputs every device-day needs (built once per study)."""
 
     popular: tuple[App, ...]
-    popular_weights: np.ndarray
+    #: Zipf install CDF over ``popular`` (see :func:`choice_cdf`).
+    popular_cdf: tuple[float, ...]
     promoted: dict[str, App]
     review_volume_multiplier: float
     review_delay_multiplier: float
@@ -270,7 +272,7 @@ def build_day_params(engine) -> DayParams:
     config = engine.config
     return DayParams(
         popular=tuple(engine.popular_apps()),
-        popular_weights=engine.popular_weights(),
+        popular_cdf=choice_cdf(engine.popular_weights()),
         promoted={
             package: engine.catalog.get(package)
             for package in engine.promoted_packages()
@@ -410,6 +412,7 @@ class DeviceDayRunner:
         tracks *total* install volume (promo installs included)."""
         rng = self._rng
         popular = self._params.popular
+        popular_cdf = self._params.popular_cdf
         wake_start, wake_end = self._waking_time(day_start)
         n_installs = persona.sample_daily_installs(rng)
         for _ in range(n_installs):
@@ -417,9 +420,7 @@ class DeviceDayRunner:
             # already have (avoids undercounting churn on small catalogs).
             app = None
             for _attempt in range(6):
-                candidate = popular[
-                    int(rng.choice(len(popular), p=self._params.popular_weights))
-                ]
+                candidate = popular[bisect_right(popular_cdf, rng.random())]
                 if candidate.package not in device.installed:
                     app = candidate
                     break

@@ -77,6 +77,10 @@ _DURATION_CLOCK_CALLS = frozenset(
     }
 )
 
+#: gzip writers that stamp ``time.time()`` into header bytes 4-7 unless
+#: the call passes ``mtime=`` (same records, different bytes per run).
+_GZIP_MTIME_CALLS = frozenset({"gzip.compress", "gzip.GzipFile"})
+
 
 def _calls(tree: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
@@ -181,6 +185,8 @@ class WallClock(Rule):
     ``time.perf_counter``/``monotonic`` are duration clocks, not wall
     clocks, but ``repro.obs`` owns duration measurement: time a block
     with ``obs.timer(histogram)`` instead of reading the clock directly.
+    ``gzip.compress``/``gzip.GzipFile`` without an ``mtime=`` keyword
+    read the wall clock implicitly (into the gzip header).
     The ``obs`` package (and the analyzer itself) is exempt.
     """
 
@@ -205,6 +211,15 @@ class WallClock(Rule):
                     f"'{resolved}' measures a duration outside repro.obs; "
                     "wrap the block in 'with obs.timer(histogram):' so "
                     "instrumentation stays centralised",
+                )
+            elif resolved in _GZIP_MTIME_CALLS and not any(
+                keyword.arg == "mtime" for keyword in call.keywords
+            ):
+                yield self.finding(
+                    ctx, call,
+                    f"'{resolved}' without mtime= stamps the wall clock into "
+                    "the gzip header; pass mtime=0 so equal input gives "
+                    "equal bytes",
                 )
 
 

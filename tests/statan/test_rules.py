@@ -106,6 +106,29 @@ class TestDET002WallClock:
         src = "def f(time):\n    return time.time()\n"
         assert rules_hit(src) == []
 
+    def test_gzip_without_mtime_flagged(self):
+        # gzip stamps time.time() into the header unless mtime= is given.
+        src = (
+            "import gzip\n\n"
+            "def seal(raw, fileobj):\n"
+            "    gzip.GzipFile(fileobj=fileobj, mode='wb').write(raw)\n"
+            "    return gzip.compress(raw)\n"
+        )
+        findings = [
+            f for f in analyze_source(src, path="repro/platform/snippet.py")
+            if f.rule == "DET002"
+        ]
+        assert [f.line for f in findings] == [4, 5]
+
+    def test_gzip_with_mtime_is_clean(self):
+        src = (
+            "from gzip import GzipFile, compress\n\n"
+            "def seal(raw, fileobj):\n"
+            "    GzipFile(fileobj=fileobj, mode='wb', mtime=0).write(raw)\n"
+            "    return compress(raw, mtime=0)\n"
+        )
+        assert rules_hit(src, path="repro/platform/snippet.py") == []
+
 
 class TestDET003UnorderedIteration:
     def test_for_over_set_literal(self):

@@ -69,6 +69,21 @@ class TestInjectionGate:
         assert self._lint(fake_tree, tmp_path / "b.json") == 1
         assert "DET002" in capsys.readouterr().out
 
+    def test_clock_stamped_gzip_injection_fails(self, tmp_path, capsys):
+        # The data buffer's chunk bytes (and so their SHA-256 acks) must
+        # not depend on when a chunk was sealed.
+        platform = tmp_path / "tree" / "platform"
+        platform.mkdir(parents=True)
+        source = (SRC / "repro" / "platform" / "buffer.py").read_text()
+        assert "gzip.compress(raw, mtime=0)" in source
+        buffer = platform / "buffer.py"
+        buffer.write_text(source)
+        assert self._lint(tmp_path / "tree", tmp_path / "b.json") == 0
+        buffer.write_text(source.replace("gzip.compress(raw, mtime=0)", "gzip.compress(raw)"))
+        capsys.readouterr()
+        assert self._lint(tmp_path / "tree", tmp_path / "b.json") == 1
+        assert "DET002" in capsys.readouterr().out
+
     def test_unsorted_listing_injection_fails(self, fake_tree, tmp_path, capsys):
         world = fake_tree / "simulation" / "world.py"
         world.write_text(
